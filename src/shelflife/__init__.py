@@ -31,9 +31,7 @@ from .solver import (
     closed_form_value,
     duration_pmf,
     mean_operator,
-    mean_operator_direct,
     payoff,
-    payoff_from_pmf,
     policy_value,
     solve,
     transition_prob,

@@ -20,6 +20,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .solver import _check_policy
+
 BLOCK = 32768
 # keep per-chunk rank matrices around 32 MB even for large horizons
 _CHUNK_ELEMS = 1 << 22
@@ -141,9 +143,7 @@ def monte_carlo(n: int, policy, trials: int, seed: int) -> McEstimate:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    k1, k2 = policy
-    if not 0 <= k1 <= k2 <= n:
-        raise ValueError(f"need 0 <= k1 <= k2 <= {n}, got ({k1}, {k2})")
+    k1, k2 = _check_policy(policy, n)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= seed < 2**64:
@@ -197,9 +197,7 @@ def exhaustive_policy_value(policy, n: int) -> float:
         raise ValueError(f"n must be >= 1, got {n}")
     if n > 10:
         raise ValueError(f"exhaustive enumeration is limited to n <= 10, got {n}")
-    k1, k2 = policy
-    if not 0 <= k1 <= k2 <= n:
-        raise ValueError(f"need 0 <= k1 <= k2 <= {n}, got ({k1}, {k2})")
+    _check_policy(policy, n)
     total = math.fsum(
         realized_outcome((1,) + tail, policy).normalized_payoff
         for tail in itertools.product(*(range(1, k + 1) for k in range(2, n + 1)))

@@ -13,7 +13,6 @@ r in {1, 2}.  A threshold pair (k1, k2) stops at (k, 1) iff k > k1 and at
 (k, 2) iff k > k2.
 """
 
-import math
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -43,9 +42,13 @@ class SolveResult(NamedTuple):
     continuation: np.ndarray
 
 
+def _check_int(x, name):
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+
+
 def _check_horizon(n):
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise ValueError(f"horizon must be an integer, got {n!r}")
+    _check_int(n, "horizon")
     if n < 2:
         raise ValueError(f"horizon must be >= 2, got {n}")
 
@@ -55,24 +58,19 @@ def _check_time(k, n, name="k"):
         raise ValueError(f"{name} must be in 1..{n}, got {k}")
 
 
-@lru_cache(maxsize=128)
-def _suffix_harmonic(n: int) -> np.ndarray:
-    """H[k] = sum_{j=k}^{n-1} 1/j for k = 0..n (H[n] = 0, H[0] unused)."""
-    H = np.zeros(n + 1)
-    if n > 1:
-        inv = 1.0 / np.arange(1, n, dtype=np.float64)
-        H[1:n] = np.cumsum(inv[::-1])[::-1]
-    return H
-
-
-@lru_cache(maxsize=128)
+# Point queries (payoff, mean_operator, --table-out) hit one horizon at a time,
+# and one entry holds about 24 MB at n = 10^6, so keep only a few.
+@lru_cache(maxsize=8)
 def _payoff_tables(n: int):
-    """(phi1, phi2, list(phi1), list(phi2)) with phi_r[k] = payoff(k, r, n)."""
-    H = _suffix_harmonic(n)
+    """(H, phi1, phi2) over k = 0..n: H[k] = sum_{j=k}^{n-1} 1/j (H[n] = 0,
+    H[0] unused) and phi_r[k] = payoff(k, r, n)."""
+    H = np.zeros(n + 1)
+    inv = 1.0 / np.arange(1, n, dtype=np.float64)
+    H[1:n] = np.cumsum(inv[::-1])[::-1]
     k = np.arange(0, n + 1, dtype=np.float64)
     phi1 = (k / n**2) * (1.0 + k - n + 2.0 * n * H)
     phi2 = k * (n - k + 1.0) / n**2
-    return phi1, phi2, phi1.tolist(), phi2.tolist()
+    return H, phi1, phi2
 
 
 def duration_pmf(i: int, r: int, n: int) -> dict:
@@ -117,14 +115,8 @@ def payoff(k: int, r: int, n: int) -> float:
         raise ValueError(f"rank must be >= 1, got {r}")
     if r > 2:
         return 0.0
-    phi1, phi2, _, _ = _payoff_tables(n)
+    _, phi1, phi2 = _payoff_tables(n)
     return float(phi1[k] if r == 1 else phi2[k])
-
-
-def payoff_from_pmf(k: int, r: int, n: int) -> float:
-    """Oracle for :func:`payoff`: the expectation summed over duration_pmf."""
-    pmf = duration_pmf(k, r, n)
-    return math.fsum(p * (t - k) for t, p in pmf.items()) / n
 
 
 def transition_prob(k: int, s: Optional[int], n: int) -> float:
@@ -155,21 +147,47 @@ def mean_operator(k: int, n: int) -> float:
     """
     _check_horizon(n)
     _check_time(k, n)
-    H = _suffix_harmonic(n)
+    H = _payoff_tables(n)[0]
     x = k / n
     return 2.0 * (x * x - x + x * float(H[k]))
 
 
-def mean_operator_direct(k: int, n: int) -> float:
-    """Oracle for :func:`mean_operator`: direct sum of p(k, j)(phi(j,1) + phi(j,2))."""
-    _check_horizon(n)
-    if not 2 <= k <= n:
-        raise ValueError(f"k must be in 2..{n}, got {k}")
-    _, _, p1, p2 = _payoff_tables(n)
-    kk = float(k * (k - 1))
-    return math.fsum(
-        kk / (j * (j - 1) * (j - 2)) * (p1[j] + p2[j]) for j in range(k + 1, n + 1)
-    )
+def _continuation(phi1, phi2, k1, k2, n):
+    """w~(k) for k = 1..n+1 (index 0 unused) under the threshold pair k1 <= k2.
+
+    The recursion w~(k) = [v1 + v2 + (k-2) w~(k+1)]/k is linear in each stop
+    region, so each region is one suffix sum:
+      all-stop, k > max(k2, 2): w~(k)/((k-1)(k-2)) sums (phi1+phi2)/(k(k-1)(k-2));
+      rank-1 only, k1 < k <= k2: w~(k)/(k-1) sums phi1/(k(k-1)) on top of
+        w~(k2+1)/k2;
+      both continue, k <= k1: flat, w~(k) = w~(k1+1) exactly.
+    At k = 2 the all-stop average is (phi1+phi2)/2, and at k = 1 only rank 1
+    exists, so w~(1) = phi1(1) when k1 = 0.
+    """
+    cont = np.zeros(n + 2)
+    lo = max(k2, 2) + 1
+    k = np.arange(lo, n + 1, dtype=np.float64)
+    scale = (k - 1.0) * (k - 2.0)
+    tail = (phi1[lo:] + phi2[lo:]) / (k * scale)
+    cont[lo : n + 1] = np.cumsum(tail[::-1])[::-1] * scale
+    if k2 < 2:
+        cont[2] = (phi1[2] + phi2[2]) / 2.0
+    lo = max(k1, 1) + 1
+    if lo <= k2:
+        k = np.arange(lo, k2 + 1, dtype=np.float64)
+        tail = phi1[lo : k2 + 1] / (k * (k - 1.0))
+        cont[lo : k2 + 1] = (np.cumsum(tail[::-1])[::-1] + cont[k2 + 1] / k2) * (k - 1.0)
+    if k1 == 0:
+        cont[1] = phi1[1]
+    else:
+        cont[1 : k1 + 1] = cont[k1 + 1]
+    return cont
+
+
+def _last_below(phi, cont, lo, hi):
+    """Largest k in lo..hi with phi[k] < cont[k+1], or 0 if there is none."""
+    hits = np.flatnonzero(phi[lo : hi + 1] < cont[lo + 1 : hi + 2])
+    return lo + int(hits[-1]) if hits.size else 0
 
 
 def solve(n: int) -> SolveResult:
@@ -177,61 +195,40 @@ def solve(n: int) -> SolveResult:
 
     w~(n+1) = 0; for k from n down to 2:
     w(k, r) = max(phi(k, r), w~(k+1)) and
-    w~(k) = [w(k,1) + w(k,2) + (k-2) w~(k+1)]/k, except that when both ranks
-    continue the average collapses to w~(k+1) exactly (taken verbatim so the
-    below-threshold plateau is flat to the last bit).  At k = 1 only rank 1
-    exists and w~(1) = w(1, 1) is the value.
+    w~(k) = [w(k,1) + w(k,2) + (k-2) w~(k+1)]/k, where the average collapses
+    to w~(k+1) exactly when both ranks continue.  At k = 1 only rank 1 exists
+    and w~(1) = w(1, 1) is the value.
 
     Thresholds are k_r = max{k : phi(k, r) < w~(k+1)} (0 when stopping is
-    optimal everywhere).  A policy with k1 = 0 stops at the first item and
-    never consults k2, so that degenerate case is reported canonically as
-    (0, 0).  Ties between stopping and continuing are resolved by stopping.
+    optimal everywhere).  The stop regions are one-sided, so the optimum is
+    the threshold-policy recursion of :func:`policy_value` at the last
+    crossings: k2 is read off the all-stop continuation (exact for k > k2),
+    then k1 off the continuation that stops only on rank 1 up to k2.  A
+    policy with k1 = 0 stops at the first item and never consults k2, so that
+    degenerate case is reported canonically as (0, 0).  Ties between stopping
+    and continuing are resolved by stopping.
     """
     _check_horizon(n)
-    phi1, phi2, p1, p2 = _payoff_tables(n)
-    w1 = [0.0] * (n + 1)
-    w2 = [0.0] * (n + 1)
-    cont = [0.0] * (n + 2)
-    for k in range(n, 1, -1):
-        c = cont[k + 1]
-        f1 = p1[k]
-        f2 = p2[k]
-        stop1 = f1 >= c
-        stop2 = f2 >= c
-        v1 = f1 if stop1 else c
-        v2 = f2 if stop2 else c
-        w1[k] = v1
-        w2[k] = v2
-        cont[k] = (v1 + v2 + (k - 2) * c) / k if (stop1 or stop2) else c
-    w1[1] = p1[1] if p1[1] >= cont[2] else cont[2]
-    cont[1] = w1[1]
-
-    k1 = 0
-    for k in range(n, 0, -1):
-        if p1[k] < cont[k + 1]:
-            k1 = k
-            break
-    k2 = 0
-    for k in range(n, 1, -1):
-        if p2[k] < cont[k + 1]:
-            k2 = k
-            break
-    if k1 == 0:
-        k2 = 0
+    _, phi1, phi2 = _payoff_tables(n)
+    k2 = _last_below(phi2, _continuation(phi1, phi2, 0, 0, n), 2, n)
+    k1 = _last_below(phi1, _continuation(phi1, phi2, 0, k2, n), 1, k2)
+    cont = _continuation(phi1, phi2, k1, k2, n)
 
     state_values = np.full((3, n + 1), np.nan)
-    state_values[1, 1:] = w1[1:]
-    state_values[2, 2:] = w2[2:]
+    state_values[1, 1:] = np.maximum(phi1[1:], cont[2:])
+    state_values[2, 2:] = np.maximum(phi2[2:], cont[3:])
     return SolveResult(
-        thresholds=PolicyThresholds(k1, k2),
-        value=cont[1],
+        thresholds=PolicyThresholds(k1, k2 if k1 else 0),
+        value=float(cont[1]),
         state_values=state_values,
-        continuation=np.array(cont),
+        continuation=cont,
     )
 
 
 def _check_policy(policy, n):
     k1, k2 = policy
+    _check_int(k1, "k1")
+    _check_int(k2, "k2")
     if not 0 <= k1 <= k2 <= n:
         raise ValueError(f"need 0 <= k1 <= k2 <= {n}, got ({k1}, {k2})")
     return k1, k2
@@ -242,13 +239,8 @@ def policy_value(policy, n: int) -> float:
     the stop/continue decision forced by the policy instead of maximized."""
     _check_horizon(n)
     k1, k2 = _check_policy(policy, n)
-    _, _, p1, p2 = _payoff_tables(n)
-    c = 0.0
-    for k in range(n, 1, -1):
-        v1 = p1[k] if k > k1 else c
-        v2 = p2[k] if k > k2 else c
-        c = (v1 + v2 + (k - 2) * c) / k
-    return p1[1] if k1 == 0 else c
+    _, phi1, phi2 = _payoff_tables(n)
+    return float(_continuation(phi1, phi2, k1, k2, n)[1])
 
 
 def closed_form_value(k1: int, k2: int, n: int) -> float:

@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+from oracles import mean_operator_direct, payoff_from_pmf
 
 from shelflife.asymptotic import (
     asymptotic_value,
@@ -22,9 +23,7 @@ from shelflife.solver import (
     closed_form_value,
     duration_pmf,
     mean_operator,
-    mean_operator_direct,
     payoff,
-    payoff_from_pmf,
     policy_value,
     solve,
     transition_prob,

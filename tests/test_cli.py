@@ -76,6 +76,13 @@ class TestSolveCommand:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_unwritable_table_out_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "diag.csv"
+        code, out, err = run_cli(["solve", "--n", "10", "--table-out", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestTableCommand:
     def test_reference_table_bytes(self, capsys):

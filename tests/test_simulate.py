@@ -216,6 +216,23 @@ class TestMonteCarlo:
             monte_carlo(10, (1, 4), 100, 2**64)
 
 
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda policy: policy_value(policy, 10),
+        lambda policy: monte_carlo(10, policy, 10, 0),
+        lambda policy: exhaustive_policy_value(policy, 10),
+    ],
+    ids=["policy_value", "monte_carlo", "exhaustive_policy_value"],
+)
+@pytest.mark.parametrize(
+    "policy", [(1.5, 3), (1, 3.0), (True, 3), ("1", 3), (3, 2), (-1, 3), (1, 11)]
+)
+def test_policy_checked_by_one_rule(evaluate, policy):
+    with pytest.raises(ValueError):
+        evaluate(policy)
+
+
 class TestEmpiricalDurationPmf:
     @pytest.mark.parametrize("rank", [1, 2])
     def test_end_time_frequencies(self, rank):

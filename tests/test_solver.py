@@ -5,15 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import mean_operator_direct, payoff_from_pmf, policy_value_loop, solve_loop
 
 from shelflife.solver import (
     PolicyThresholds,
+    _payoff_tables,
     closed_form_value,
     duration_pmf,
     mean_operator,
-    mean_operator_direct,
     payoff,
-    payoff_from_pmf,
     policy_value,
     solve,
     transition_prob,
@@ -263,6 +263,53 @@ class TestSolve:
             solve(1)
         with pytest.raises(ValueError):
             solve(2.5)
+
+
+class TestBackwardInductionKernel:
+    """solve and policy_value against the per-k loop oracle."""
+
+    @staticmethod
+    def check_against_loop(n):
+        res, ref = solve(n), solve_loop(n)
+        assert res.thresholds == ref.thresholds
+        np.testing.assert_allclose(res.continuation, ref.continuation, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(res.state_values, ref.state_values, rtol=0, atol=1e-13)
+
+    @given(st.integers(2, 3000))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_loop(self, n):
+        self.check_against_loop(n)
+
+    @pytest.mark.parametrize("n", [10**4, 10**5, 10**6])
+    def test_matches_loop_large(self, n):
+        self.check_against_loop(n)
+
+    @given(st.integers(2, 3000), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_policy_value_matches_loop(self, n, data):
+        k1 = data.draw(st.integers(0, n))
+        k2 = data.draw(st.integers(k1, n))
+        assert policy_value((k1, k2), n) == pytest.approx(
+            policy_value_loop((k1, k2), n), abs=1e-13
+        )
+
+    def test_policy_value_of_optimum_is_the_value(self):
+        for n in list(range(2, 400)) + [10**4, 10**6]:
+            res = solve(n)
+            assert policy_value(res.thresholds, n) == res.value, n
+
+    @given(st.integers(9, 3000))
+    @settings(max_examples=100, deadline=None)
+    def test_stop_regions_are_one_sided(self, n):
+        # phi_r(k) < w~(k+1) exactly for k <= k_r: the single crossing that
+        # lets each stop region be summed in one pass
+        res = solve(n)
+        _, phi1, phi2 = _payoff_tables(n)
+        k = np.arange(n + 1)
+        nxt = res.continuation[1:]
+        for r, phi in ((1, phi1), (2, phi2)):
+            below = (phi < nxt)[r:]
+            assert np.array_equal(below, k[r:] <= res.thresholds[r - 1]), r
 
 
 class TestPolicyValue:
