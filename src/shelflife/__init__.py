@@ -20,9 +20,7 @@ from .simulate import (
     McEstimate,
     TrialOutcome,
     exhaustive_policy_value,
-    generate_rank_sequence,
     monte_carlo,
-    permutation_to_ranks,
     realized_outcome,
 )
 from .solver import (

@@ -1,15 +1,18 @@
 """Monte Carlo and exhaustive-enumeration checks of the exact solver.
 
-Rank sequences are simulated directly -- the relative ranks Y_k are
-independent with Y_k uniform on {1..k} -- so a trial is O(n) with no
-order-statistics bookkeeping.  Permutations of actual values are kept as a
-cross-check path (`permutation_to_ranks`).
+The relative ranks Y_k are independent with Y_k uniform on {1..k}, so from
+time t the next rank-1 arrival R and the next candidate C (rank 1 or 2) obey
+P(R > s) = t/s and P(C > s) = t(t-1)/(s(s-1)), and each is one inverted
+uniform.  A trial jumps between these epochs on five uniforms (see
+`_payoffs`), so it costs O(1) whatever the horizon.  `realized_outcome`
+traces an explicit rank sequence instead and backs the exhaustive oracle.
 
 PRNG: numpy Philox (counter-based).  Trials are drawn in fixed blocks of
-``BLOCK`` trials; block b uses the substream keyed by (seed, b*BLOCK), so the
-randomness of trial t is a pure function of (seed, t) and the estimate is
-bit-identical regardless of how blocks are scheduled across threads.  The
-environment variable DURATION_SOLVER_THREADS caps the worker pool (default 1).
+``BLOCK`` trials; block b uses the substream keyed by (seed, b*BLOCK) and
+gives trial t row t - b*BLOCK of a (rows, 5) uniform array, so the randomness
+of trial t is a pure function of (seed, t) and the estimate is bit-identical
+regardless of how blocks are scheduled across threads.  The environment
+variable DURATION_SOLVER_THREADS caps the worker pool (default 1).
 """
 
 import itertools
@@ -20,11 +23,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .solver import _check_policy
+from .solver import _check_int, _check_policy
 
 BLOCK = 32768
-# keep per-chunk rank matrices around 32 MB even for large horizons
-_CHUNK_ELEMS = 1 << 22
 
 
 class TrialOutcome(NamedTuple):
@@ -41,23 +42,6 @@ class McEstimate(NamedTuple):
     std_error: float
     trials: int
     seed: int
-
-
-def generate_rank_sequence(n: int, rng: np.random.Generator) -> tuple:
-    """Draw (y_1, ..., y_n) with y_k independent uniform on {1..k}."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return tuple(int(v) for v in rng.integers(1, np.arange(2, n + 2)))
-
-
-def permutation_to_ranks(perm) -> tuple:
-    """Relative ranks of a permutation: y_k = #{i <= k: perm[i] <= perm[k]}."""
-    n = len(perm)
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError("input is not a permutation of 1..n")
-    return tuple(
-        sum(1 for x in perm[:k] if x <= perm[k - 1]) for k in range(1, n + 1)
-    )
 
 
 def realized_outcome(seq, policy) -> TrialOutcome:
@@ -100,39 +84,72 @@ def realized_outcome(seq, policy) -> TrialOutcome:
     return TrialOutcome(stop, seq[stop - 1], end, (end - stop) / n)
 
 
-def _batch_outcomes(Y, k1, k2):
-    """Vectorized realized_outcome over a (trials, n) rank matrix.
+def _next_best(t, u):
+    """First rank-1 arrival after time t >= 1 from u in (0, 1]: floor(t/u) + 1."""
+    return np.floor(t / u) + 1.0
 
-    Returns (stop_time, stop_rank, end_time, payoff) arrays; the no-stop
-    outcome is encoded as stop_time = stop_rank = end_time = 0.
+
+def _next_candidate(t, u, cap):
+    """First rank-1-or-2 arrival after time t >= 1 from u in (0, 1], or a
+    value >= cap when that lies beyond cap.
+
+    It is the smallest integer s with s(s-1) > q = t(t-1)/u, one more than
+    the floor of the root x = 1/2 + sqrt(1/4 + q).  At q = m(m-1) the rounded
+    root is exactly m for every m < 2**27, and rounding is monotone in q, so
+    the rounded root is never too low; when rounding pushes it up to the next
+    integer, one exact comparison of products s(s-1) (exact while s < 9e7)
+    takes it back.
     """
-    B, n = Y.shape
-    t = np.arange(1, n + 1)
-    stop_mask = ((Y == 1) & (t > k1)) | ((Y == 2) & (t > k2))
-    has_stop = stop_mask.any(axis=1)
-    stop_idx = np.where(has_stop, stop_mask.argmax(axis=1), n)  # 0-based; n = none
+    q = t * (t - 1.0) / u
+    s = np.minimum(np.floor(0.5 + np.sqrt(0.25 + q)) + 1.0, cap)
+    s -= (s - 1.0) * (s - 2.0) > q
+    return s
 
-    # next-candidate / next-best indices at or after each column, with two
-    # sentinel columns (value n) so that "none" lands on end_time = n + 1
-    cols = np.arange(n)
-    idx_c = np.where(Y <= 2, cols, n)
-    nxt_c = np.minimum.accumulate(idx_c[:, ::-1], axis=1)[:, ::-1]
-    nxt_c = np.concatenate([nxt_c, np.full((B, 2), n)], axis=1)
-    idx_b = np.where(Y == 1, cols, n)
-    nxt_b = np.minimum.accumulate(idx_b[:, ::-1], axis=1)[:, ::-1]
-    nxt_b = np.concatenate([nxt_b, np.full((B, 2), n)], axis=1)
 
-    rows = np.arange(B)
-    stop_rank = Y[rows, np.minimum(stop_idx, n - 1)]
-    end_second = nxt_c[rows, np.minimum(stop_idx + 1, n + 1)]
-    new_best = nxt_b[rows, np.minimum(stop_idx + 1, n + 1)]
-    end_best = nxt_c[rows, np.minimum(new_best + 1, n + 1)]
-    end_idx = np.where(stop_rank == 2, end_second, end_best)
+def _end_times(stop, best, u3, u4, n):
+    """End of the candidacy of an item held from time `stop`, capped at n+1.
 
-    stop_time = np.where(has_stop, stop_idx + 1, 0)
-    end_time = np.where(has_stop, end_idx + 1, 0)
-    payoff = np.where(has_stop, (end_time - stop_time) / n, 0.0)
-    return stop_time, np.where(has_stop, stop_rank, 0), end_time, payoff
+    A second-best item leaves at the next candidate.  A best item is first
+    overtaken by the next rank-1 arrival r and leaves at the candidate after r.
+    """
+    cap = n + 2.0
+    start = np.where(best, np.minimum(_next_best(stop, u3), cap), stop)
+    return np.minimum(_next_candidate(start, np.where(best, u4, u3), cap), n + 1.0)
+
+
+def _payoffs(U, n, k1, k2):
+    """Normalized durations of the trials whose uniforms are the rows of U.
+
+    U has shape (m, 5) with entries in (0, 1].  Column 0 places the first
+    rank-1 arrival after k1; if it falls after k2 the policy stops at the
+    first candidate after k2 (column 1), whose rank is 1 iff column 2 is at
+    most 1/2.  Columns 3 and 4 drive :func:`_end_times`.  A stop after n
+    earns 0.
+    """
+    if k1 == 0:
+        stop = np.ones(len(U))
+        best = True
+    else:
+        s1 = _next_best(k1, U[:, 0])
+        early = s1 <= k2
+        stop = np.where(early, s1, _next_candidate(float(k2), U[:, 1], n + 2.0))
+        best = early | (U[:, 2] <= 0.5)
+    end = _end_times(stop, best, U[:, 3], U[:, 4], n)
+    return np.where(stop <= n, (end - stop) / n, 0.0)
+
+
+def _uniforms(seed, start, m):
+    """The (m, 5) uniforms in (0, 1] of trials start..start+m-1 (one block)."""
+    key = np.array([seed, start], dtype=np.uint64)  # a tuple above 2**63 goes via float
+    rng = np.random.Generator(np.random.Philox(key=key))
+    return 1.0 - rng.random((m, 5))
+
+
+def _threads():
+    raw = os.environ.get("DURATION_SOLVER_THREADS", "1")
+    if not (raw.isascii() and raw.isdigit() and int(raw) >= 1):
+        raise ValueError(f"DURATION_SOLVER_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def monte_carlo(n: int, policy, trials: int, seed: int) -> McEstimate:
@@ -141,34 +158,17 @@ def monte_carlo(n: int, policy, trials: int, seed: int) -> McEstimate:
     Deterministic for fixed (seed, trials) independent of thread count; see
     the module docstring for the substream layout.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_int(n, "n", 1)
     k1, k2 = _check_policy(policy, n)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-
-    highs = np.arange(2, n + 2)
-    rows_per_chunk = max(1, _CHUNK_ELEMS // n)
+    _check_int(trials, "trials", 1)
+    _check_int(seed, "seed", 0, 2**64 - 1)
+    threads = _threads()
 
     def run_block(start):
-        m = min(BLOCK, trials - start)
-        rng = np.random.Generator(np.random.Philox(key=(seed, start)))
-        total = 0.0
-        total_sq = 0.0
-        done = 0
-        while done < m:
-            r = min(rows_per_chunk, m - done)
-            Y = rng.integers(1, highs, size=(r, n))
-            p = _batch_outcomes(Y, k1, k2)[3]
-            total += float(np.sum(p))
-            total_sq += float(np.dot(p, p))
-            done += r
-        return total, total_sq
+        p = _payoffs(_uniforms(seed, start, min(BLOCK, trials - start)), n, k1, k2)
+        return float(np.sum(p)), float(np.dot(p, p))
 
     starts = range(0, trials, BLOCK)
-    threads = max(1, int(os.environ.get("DURATION_SOLVER_THREADS", "1")))
     if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             partials = list(pool.map(run_block, starts))

@@ -42,20 +42,21 @@ class SolveResult(NamedTuple):
     continuation: np.ndarray
 
 
-def _check_int(x, name):
+def _check_int(x, name, lo=None, hi=None):
+    """Reject anything but a non-bool integer, and one outside lo..hi (hi optional)."""
     if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {x!r}")
+    if lo is not None and (x < lo or (hi is not None and x > hi)):
+        bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ValueError(f"{name} must be {bounds}, got {x}")
 
 
 def _check_horizon(n):
-    _check_int(n, "horizon")
-    if n < 2:
-        raise ValueError(f"horizon must be >= 2, got {n}")
+    _check_int(n, "horizon", 2)
 
 
 def _check_time(k, n, name="k"):
-    if not 1 <= k <= n:
-        raise ValueError(f"{name} must be in 1..{n}, got {k}")
+    _check_int(k, name, 1, n)
 
 
 # Point queries (payoff, mean_operator, --table-out) hit one horizon at a time,

@@ -1,9 +1,10 @@
 """Reference implementations that the library is checked against.
 
-They compute the same quantities as ``shelflife.solver`` by independent or
-slower routes: expectations summed over the end-time pmf, the mean operator
-as a direct sum over the embedded chain, and backward induction as a per-k
-Python loop over plain floats.
+They compute the same quantities as ``shelflife.solver`` and
+``shelflife.simulate`` by independent or slower routes: expectations summed
+over the end-time pmf, the mean operator as a direct sum over the embedded
+chain, backward induction as a per-k Python loop over plain floats, and
+Monte Carlo trials as full rank sequences scanned one column at a time.
 """
 
 import math
@@ -101,3 +102,75 @@ def policy_value_loop(policy, n: int) -> float:
         v2 = p2[k] if k > k2 else c
         c = (v1 + v2 + (k - 2) * c) / k
     return p1[1] if k1 == 0 else c
+
+
+def generate_rank_sequence(n: int, rng: np.random.Generator) -> tuple:
+    """Draw (y_1, ..., y_n) with y_k independent uniform on {1..k}."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return tuple(int(v) for v in rng.integers(1, np.arange(2, n + 2)))
+
+
+def permutation_to_ranks(perm) -> tuple:
+    """Relative ranks of a permutation: y_k = #{i <= k: perm[i] <= perm[k]}."""
+    n = len(perm)
+    if sorted(perm) != list(range(1, n + 1)):
+        raise ValueError("input is not a permutation of 1..n")
+    return tuple(
+        sum(1 for x in perm[:k] if x <= perm[k - 1]) for k in range(1, n + 1)
+    )
+
+
+def _batch_outcomes(Y, k1, k2):
+    """Vectorized ``realized_outcome`` over a (trials, n) rank matrix.
+
+    Returns (stop_time, stop_rank, end_time, payoff) arrays; the no-stop
+    outcome is encoded as stop_time = stop_rank = end_time = 0.
+    """
+    B, n = Y.shape
+    t = np.arange(1, n + 1)
+    stop_mask = ((Y == 1) & (t > k1)) | ((Y == 2) & (t > k2))
+    has_stop = stop_mask.any(axis=1)
+    stop_idx = np.where(has_stop, stop_mask.argmax(axis=1), n)  # 0-based; n = none
+
+    # next-candidate / next-best indices at or after each column, with two
+    # sentinel columns (value n) so that "none" lands on end_time = n + 1
+    cols = np.arange(n)
+    idx_c = np.where(Y <= 2, cols, n)
+    nxt_c = np.minimum.accumulate(idx_c[:, ::-1], axis=1)[:, ::-1]
+    nxt_c = np.concatenate([nxt_c, np.full((B, 2), n)], axis=1)
+    idx_b = np.where(Y == 1, cols, n)
+    nxt_b = np.minimum.accumulate(idx_b[:, ::-1], axis=1)[:, ::-1]
+    nxt_b = np.concatenate([nxt_b, np.full((B, 2), n)], axis=1)
+
+    rows = np.arange(B)
+    stop_rank = Y[rows, np.minimum(stop_idx, n - 1)]
+    end_second = nxt_c[rows, np.minimum(stop_idx + 1, n + 1)]
+    new_best = nxt_b[rows, np.minimum(stop_idx + 1, n + 1)]
+    end_best = nxt_c[rows, np.minimum(new_best + 1, n + 1)]
+    end_idx = np.where(stop_rank == 2, end_second, end_best)
+
+    stop_time = np.where(has_stop, stop_idx + 1, 0)
+    end_time = np.where(has_stop, end_idx + 1, 0)
+    payoff = np.where(has_stop, (end_time - stop_time) / n, 0.0)
+    return stop_time, np.where(has_stop, stop_rank, 0), end_time, payoff
+
+
+def dense_monte_carlo(n: int, policy, trials: int, seed: int):
+    """Oracle for ``monte_carlo``: (mean, std_error) from full rank sequences.
+
+    Draws every relative rank of every trial and scans the (trials, n) matrix
+    with :func:`_batch_outcomes`, in chunks of about 4M cells.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    highs = np.arange(2, n + 2)
+    rows = max(1, (1 << 22) // n)
+    total = total_sq = 0.0
+    for done in range(0, trials, rows):
+        Y = rng.integers(1, highs, size=(min(rows, trials - done), n))
+        p = _batch_outcomes(Y, *policy)[3]
+        total += float(np.sum(p))
+        total_sq += float(np.dot(p, p))
+    mean = total / trials
+    var = (total_sq - total * total / trials) / (trials - 1)
+    return mean, math.sqrt(var / trials)

@@ -1,21 +1,30 @@
 import collections
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import (
+    _batch_outcomes,
+    dense_monte_carlo,
+    generate_rank_sequence,
+    permutation_to_ranks,
+)
 
 from shelflife.simulate import (
     BLOCK,
     McEstimate,
     TrialOutcome,
-    _batch_outcomes,
+    _end_times,
+    _next_best,
+    _next_candidate,
+    _payoffs,
+    _uniforms,
     exhaustive_policy_value,
-    generate_rank_sequence,
     monte_carlo,
-    permutation_to_ranks,
     realized_outcome,
 )
 from shelflife.solver import duration_pmf, payoff, policy_value, solve
@@ -215,6 +224,38 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(10, (1, 4), 100, 2**64)
 
+    @pytest.mark.parametrize(
+        "n, trials, seed",
+        [(10, 100, 1.5), (10, 100, True), (10, True, 1), (10, 100.0, 1),
+         (10, "100", 1), (10.0, 100, 1), (True, 100, 1)],
+    )
+    def test_rejects_non_integer_arguments(self, n, trials, seed):
+        with pytest.raises(ValueError):
+            monte_carlo(n, (0, 1), trials, seed)
+
+    def test_seeds_above_2_63_keep_distinct_streams(self):
+        top = [monte_carlo(10, (1, 4), 1000, s).mean for s in (2**64 - 1, 2**64 - 2)]
+        low = [monte_carlo(10, (1, 4), 1000, s).mean for s in (0, 2**63, 2**63 + 5)]
+        assert len(set(top + low)) == 5
+
+    def test_accepts_numpy_integers(self):
+        est = monte_carlo(np.int64(10), (1, 4), np.int32(100), np.uint64(2**64 - 1))
+        assert est == monte_carlo(10, (1, 4), 100, 2**64 - 1)
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "", "1.5"])
+    def test_rejects_malformed_thread_count(self, monkeypatch, value):
+        monkeypatch.setenv("DURATION_SOLVER_THREADS", value)
+        with pytest.raises(ValueError, match="DURATION_SOLVER_THREADS"):
+            monte_carlo(10, (1, 4), 100, 1)
+
+    @pytest.mark.parametrize("m1", [1, 777, BLOCK - 1])
+    def test_trial_randomness_is_a_pure_function_of_seed_and_index(self, m1):
+        """A trial's payoff does not depend on how many trials its block holds."""
+        for n, policy in [(50, (6, 21)), (7, (0, 0)), (1000, (120, 417))]:
+            short = _payoffs(_uniforms(9, 0, m1), n, *policy)
+            full = _payoffs(_uniforms(9, 0, BLOCK), n, *policy)
+            assert np.array_equal(short, full[:m1])
+
 
 @pytest.mark.parametrize(
     "evaluate",
@@ -259,6 +300,128 @@ class TestEmpiricalDurationPmf:
             p = pmf[k]
             sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / trials)
             assert abs(counts[k] / trials - p) <= 4.0 * sigma, (k, p)
+
+
+def _exact_next_best(t, u):
+    """Smallest s > t with u*s > t, in exact rationals."""
+    return math.floor(t / Fraction(u)) + 1
+
+
+def _exact_next_candidate(t, u):
+    """Smallest s > t with u*s(s-1) > t(t-1), in exact rationals."""
+    u = Fraction(u)
+    s = (1 + math.isqrt(1 + 4 * math.floor(t * (t - 1) / u))) // 2
+    while u * s * (s - 1) <= t * (t - 1):
+        s += 1
+    while s - 1 > t and u * (s - 1) * (s - 2) > t * (t - 1):
+        s -= 1
+    return s
+
+
+class TestJumpAheadSampler:
+    # chi2.isf(1e-6, df) for df = 1..7, fixed before any trial is drawn
+    CHI2_CRIT = {1: 23.928, 2: 27.631, 3: 30.665, 4: 33.377, 5: 35.888,
+                 6: 38.258, 7: 40.522}
+    CAP = 9e7  # s(s-1) stays an exact float up to here
+
+    def test_unit_uniform_steps_once(self):
+        t = np.concatenate([np.arange(1.0, 2000.0), np.arange(2000.0, 9e7, 9973.0),
+                            [2.0**25 + 1, 5e7, 2.0**26 + 7, 9e7 - 1]])
+        assert np.array_equal(_next_best(t, 1.0), t + 1.0)
+        assert np.array_equal(_next_candidate(t, 1.0, self.CAP), t + 1.0)
+
+    def test_first_candidate_after_time_one_is_two(self):
+        u = 1.0 - np.random.default_rng(0).random(1000)
+        assert np.all(_next_candidate(1.0, u, self.CAP) == 2.0)
+
+    def test_boundaries_land_on_the_correct_side(self):
+        """u on a boundary P(X > s) = u means X > s; the next float up gives s."""
+        def dyadic(a, b):  # a/b in lowest terms has a power-of-two denominator
+            d = b // math.gcd(a, b)
+            return d & (d - 1) == 0
+
+        best = cand = 0
+        for t in range(1, 200):
+            for s in range(t + 1, 3000):
+                if dyadic(t, s):
+                    u = t / s
+                    assert _next_best(float(t), u) == s + 1, (t, s)
+                    assert _next_best(float(t), np.nextafter(u, 2.0)) == s, (t, s)
+                    best += 1
+                if t > 1 and dyadic(t * (t - 1), s * (s - 1)):
+                    u = t * (t - 1) / (s * (s - 1))
+                    assert _next_candidate(float(t), u, self.CAP) == s + 1, (t, s)
+                    up = np.nextafter(u, 2.0)
+                    assert _next_candidate(float(t), up, self.CAP) == s, (t, s)
+                    cand += 1
+        assert best > 100 and cand > 20
+
+    def test_matches_exact_rational_inversion(self):
+        rng = np.random.default_rng(20261017)
+        ts = np.floor(np.exp(rng.uniform(0.0, math.log(2e7), 3000)))
+        us = 1.0 - rng.random(3000)
+        us[:300] = us[:300] ** 8  # long jumps
+        got_r = _next_best(ts, us)
+        got_c = _next_candidate(ts, us, self.CAP)
+        for t, u, r, c in zip(ts.tolist(), us.tolist(), got_r, got_c):
+            exact = _exact_next_best(int(t), u)
+            assert r == exact if exact < self.CAP else r >= self.CAP - 1, (t, u)
+            exact = _exact_next_candidate(int(t), u)
+            assert c == exact if exact < self.CAP else c >= self.CAP, (t, u)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_payoff_histogram_matches_enumeration(self, n):
+        """Chi-square of n * payoff against all n! rank sequences, every policy."""
+        trials = 4 * BLOCK
+        U = np.concatenate([_uniforms(31, s, BLOCK) for s in range(0, trials, BLOCK)])
+        seqs = list(all_rank_sequences(n))
+        for k1 in range(n + 1):
+            for k2 in range(k1, n + 1):
+                exact = collections.Counter(
+                    round(realized_outcome(seq, (k1, k2)).normalized_payoff * n)
+                    for seq in seqs
+                )
+                observed = np.bincount(
+                    np.rint(_payoffs(U, n, k1, k2) * n).astype(np.int64),
+                    minlength=n + 1,
+                )
+                assert set(np.flatnonzero(observed)) <= set(exact), (n, k1, k2)
+                expected = {d: c * trials / len(seqs) for d, c in exact.items()}
+                stat = sum((observed[d] - e) ** 2 / e for d, e in expected.items())
+                if len(expected) > 1:
+                    assert stat <= self.CHI2_CRIT[len(expected) - 1], (n, k1, k2, stat)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_end_time_frequencies(self, rank):
+        """10^6 end times of an item held from time i against duration_pmf (4 sigma)."""
+        n, i, trials = 20, 5, 1_000_000
+        pmf = duration_pmf(i, rank, n)
+        counts = np.zeros(n + 2, dtype=np.int64)
+        for start in range(0, trials, BLOCK):
+            U = _uniforms(99 + rank, start, min(BLOCK, trials - start))
+            stop = np.full(len(U), float(i))
+            end = _end_times(stop, rank == 1, U[:, 3], U[:, 4], n)
+            counts += np.bincount(end.astype(np.int64), minlength=n + 2)
+        assert counts[: i + 1].sum() == 0
+        for k in range(i + 1, n + 2):
+            p = pmf[k]
+            sigma = math.sqrt(max(p * (1.0 - p), 1e-12) / trials)
+            assert abs(counts[k] / trials - p) <= 4.0 * sigma, (k, p)
+
+    @pytest.mark.parametrize("n", [10, 200, 10**4, 10**6])
+    def test_optimal_policy_estimate(self, n):
+        policy = solve(n).thresholds
+        est = monte_carlo(n, policy, 10**6, 17)
+        assert abs(est.mean - policy_value(policy, n)) <= 4 * est.std_error
+
+    @pytest.mark.parametrize("n", [10, 57, 200])
+    @pytest.mark.parametrize("shape", ["optimal", "late"])
+    def test_agrees_with_dense_sampler(self, n, shape):
+        policy = solve(n).thresholds if shape == "optimal" else (n // 4, 3 * n // 4)
+        est = monte_carlo(n, policy, 10**6, 23)
+        mean, se = dense_monte_carlo(n, policy, 60_000, 23)
+        z = (est.mean - mean) / math.hypot(est.std_error, se)
+        assert abs(z) <= 4, z
 
 
 class TestEstimatorStatistics:

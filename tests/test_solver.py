@@ -117,6 +117,17 @@ class TestPayoff:
         with pytest.raises(ValueError):
             payoff(3, 1, 1)
 
+    @pytest.mark.parametrize(
+        "evaluate",
+        [lambda k: payoff(k, 1, 10), lambda k: duration_pmf(k, 1, 10),
+         lambda k: mean_operator(k, 10)],
+        ids=["payoff", "duration_pmf", "mean_operator"],
+    )
+    @pytest.mark.parametrize("k", [2.0, 2.5, True])
+    def test_time_must_be_an_integer(self, evaluate, k):
+        with pytest.raises(ValueError):
+            evaluate(k)
+
     def test_rank1_dominates_rank2(self):
         for n in (2, 3, 17, 300):
             for k in range(2, n + 1):
