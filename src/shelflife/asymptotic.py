@@ -10,8 +10,6 @@ the first threshold exactly as the finite-n continuation value is.
 import math
 from typing import NamedTuple
 
-from scipy.optimize import brentq
-
 from .special import lambert_w0
 
 
@@ -61,15 +59,43 @@ def limit_value_function(x: float, b: float) -> float:
 
 
 def solve_a(b: float) -> float:
-    """Lower threshold fraction: the root of v~(x, b) = phi(x, 1) on (0, b)."""
+    """Lower threshold fraction: the root of v~(x, b) = phi(x, 1) on (0, b).
 
-    def gap(x):
-        return limit_value_function(x, b) - phi_limit(x, 1)
+    Divided by x, the equation reads g(x) = log^2 x + 3 log x - 2x + c = 0
+    with c = A(b) + M(b)/b + 1, where A(t) = t - log^2 t - log t and M is
+    :func:`mean_operator_limit`.  Newton's method on g, bisecting whenever a
+    step would leave the sign-change bracket, which starts as [1e-4, b - 1e-4].
+    """
+    lo, hi = 1e-4, b - 1e-4
+    if not (lo < hi and b <= 1.0):
+        raise ArithmeticError(f"root bracketing for a failed: empty bracket for b={b}")
+    c = _antiderivative(b) + mean_operator_limit(b) / b + 1.0
 
-    try:
-        return float(brentq(gap, 1e-4, b - 1e-4, xtol=1e-12))
-    except ValueError as exc:
-        raise ArithmeticError(f"root bracketing for a failed: {exc}") from None
+    def g(x):
+        lx = math.log(x)
+        return lx * (lx + 3.0) - 2.0 * x + c
+
+    g_lo, g_hi = g(lo), g(hi)
+    if not g_lo * g_hi < 0.0:
+        raise ArithmeticError(
+            f"root bracketing for a failed: g({lo}) = {g_lo}, g({hi}) = {g_hi}"
+        )
+    x = 0.5 * (lo + hi)
+    for _ in range(100):
+        gx = g(x)
+        if gx == 0.0:
+            return x
+        if (gx > 0.0) == (g_lo > 0.0):
+            lo = x
+        else:
+            hi = x
+        x_new = x - gx / ((2.0 * math.log(x) + 3.0) / x - 2.0)
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+        if abs(x_new - x) <= 1e-15 * x:
+            return x_new
+        x = x_new
+    raise ArithmeticError(f"root finding for a did not converge for b={b}")
 
 
 def asymptotic_value() -> float:

@@ -13,6 +13,8 @@ import csv
 import json
 import sys
 
+import numpy as np
+
 from . import asymptotic, simulate, solver
 
 TABLE_NS = (10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 200, 500, 1000)
@@ -40,6 +42,30 @@ def _emit_record(record, as_csv):
         _emit_json(record)
 
 
+def _table_out_blocks(res, n, rows=1 << 16):
+    """The --table-out CSV in blocks of rows, each built a column at a time.
+
+    No field needs quoting, so plain joins give what csv.writer would."""
+    _, phi1, phi2 = solver._payoff_tables(n)
+    k1, k2 = res.thresholds
+    cont = res.continuation
+    yield "k,phi1,phi2,continuation,stop1,stop2\n"
+    # rank 2 does not exist at time 1
+    yield f"1,{float(phi1[1])!r},,{float(cont[1])!r},{int(1 > k1)},\n"
+    for lo in range(2, n + 1, rows):
+        hi = min(lo + rows, n + 1)
+        k = np.arange(lo, hi)
+        cols = (
+            map(str, range(lo, hi)),
+            map(repr, phi1[lo:hi].tolist()),
+            map(repr, phi2[lo:hi].tolist()),
+            map(repr, cont[lo:hi].tolist()),
+            map("01".__getitem__, (k > k1).tolist()),
+            map("01".__getitem__, (k > k2).tolist()),
+        )
+        yield "\n".join(map(",".join, zip(*cols))) + "\n"
+
+
 def cmd_solve(args):
     res = solver.solve(args.n)
     record = {
@@ -50,19 +76,7 @@ def cmd_solve(args):
     }
     if args.table_out:
         with open(args.table_out, "w", newline="") as fh:
-            w = _csv_writer(fh)
-            w.writerow(["k", "phi1", "phi2", "continuation", "stop1", "stop2"])
-            for k in range(1, args.n + 1):
-                f1 = solver.payoff(k, 1, args.n)
-                row = [k, repr(f1)]
-                if k >= 2:
-                    row.append(repr(solver.payoff(k, 2, args.n)))
-                else:
-                    row.append("")
-                row.append(repr(float(res.continuation[k])))
-                row.append(int(k > res.thresholds.k1))
-                row.append(int(k > res.thresholds.k2) if k >= 2 else "")
-                w.writerow(row)
+            fh.writelines(_table_out_blocks(res, args.n))
     _emit_record(record, args.csv)
     return 0
 

@@ -158,7 +158,7 @@ def monte_carlo(n: int, policy, trials: int, seed: int) -> McEstimate:
     Deterministic for fixed (seed, trials) independent of thread count; see
     the module docstring for the substream layout.
     """
-    _check_int(n, "n", 1)
+    _check_int(n, "n", 2)
     k1, k2 = _check_policy(policy, n)
     _check_int(trials, "trials", 1)
     _check_int(seed, "seed", 0, 2**64 - 1)
@@ -189,14 +189,11 @@ def monte_carlo(n: int, policy, trials: int, seed: int) -> McEstimate:
 def exhaustive_policy_value(policy, n: int) -> float:
     """Exact policy value by enumerating every rank sequence.
 
-    Each sequence (y_1..y_n) has probability prod_k 1/k = 1/n!; the n <= 10
-    guard keeps the n! enumeration tractable.  Accumulation is compensated
-    (math.fsum).
+    Each sequence (y_1..y_n) has probability prod_k 1/k = 1/n!; n is limited
+    to 2..10 so that the n! enumeration stays tractable.  Accumulation is
+    compensated (math.fsum).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > 10:
-        raise ValueError(f"exhaustive enumeration is limited to n <= 10, got {n}")
+    _check_int(n, "n", 2, 10)
     _check_policy(policy, n)
     total = math.fsum(
         realized_outcome((1,) + tail, policy).normalized_payoff

@@ -7,6 +7,7 @@ chain, backward induction as a per-k Python loop over plain floats, and
 Monte Carlo trials as full rank sequences scanned one column at a time.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -17,6 +18,8 @@ from shelflife.solver import (
     _check_horizon,
     _payoff_tables,
     duration_pmf,
+    payoff,
+    solve,
 )
 
 
@@ -102,6 +105,26 @@ def policy_value_loop(policy, n: int) -> float:
         v2 = p2[k] if k > k2 else c
         c = (v1 + v2 + (k - 2) * c) / k
     return p1[1] if k1 == 0 else c
+
+
+def write_table_out_rows(path, n: int) -> None:
+    """Oracle for ``shelflife solve --table-out``: one csv.writer row per k,
+    every payoff read through ``payoff``."""
+    res = solve(n)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["k", "phi1", "phi2", "continuation", "stop1", "stop2"])
+        for k in range(1, n + 1):
+            f1 = payoff(k, 1, n)
+            row = [k, repr(f1)]
+            if k >= 2:
+                row.append(repr(payoff(k, 2, n)))
+            else:
+                row.append("")
+            row.append(repr(float(res.continuation[k])))
+            row.append(int(k > res.thresholds.k1))
+            row.append(int(k > res.thresholds.k2) if k >= 2 else "")
+            w.writerow(row)
 
 
 def generate_rank_sequence(n: int, rng: np.random.Generator) -> tuple:

@@ -1,5 +1,7 @@
 import math
 
+import mpmath
+import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -124,6 +126,62 @@ class TestSolveA:
     def test_bracketing_failure_is_numeric_error(self):
         with pytest.raises(ArithmeticError):
             solve_a(1.2e-4)  # bracket [1e-4, b - 1e-4] collapses
+
+    @pytest.mark.parametrize("b", [0.0, -1.0, 1e-4, 2e-4, 1.5, math.nan])
+    def test_empty_or_invalid_bracket_is_numeric_error(self, b):
+        with pytest.raises(ArithmeticError, match="root bracketing for a failed"):
+            solve_a(b)
+
+    def test_agrees_with_brentq_across_b(self):
+        """Independent route: brentq on the undivided gap v~(x, b) - phi(x, 1)
+        over the same bracket, wherever that bracket changes sign."""
+
+        def gap(x, b):
+            return limit_value_function(x, b) - phi_limit(x, 1)
+
+        roots = 0
+        grid = np.concatenate([np.geomspace(2.5e-4, 0.05, 40), np.linspace(0.05, 1.0, 96)])
+        for b in grid.tolist():
+            lo, hi = 1e-4, b - 1e-4
+            if gap(lo, b) * gap(hi, b) < 0.0:
+                ref = brentq(gap, lo, hi, args=(b,), xtol=1e-16, rtol=4 * np.finfo(float).eps)
+                assert abs(solve_a(b) - ref) <= 1e-13, b
+                roots += 1
+            else:
+                with pytest.raises(ArithmeticError):
+                    solve_a(b)
+        assert roots >= 120
+
+
+class TestHighPrecisionOracle:
+    """a, b and v~ from mpmath at 30 digits: b through lambertw, a through
+    findroot on the undivided gap, v~ through the antiderivative."""
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        with mpmath.workdps(30):
+            three_halves = mpmath.mpf(3) / 2
+            b = -2 * mpmath.lambertw(-three_halves * mpmath.exp(-three_halves)).real / 3
+
+            def anti(t):
+                return t - mpmath.log(t) ** 2 - mpmath.log(t)
+
+            tphi_b = 2 * (b * b - b - b * mpmath.log(b))
+
+            def value(x):
+                return x * (anti(b) - anti(x)) + (x / b) * tphi_b
+
+            a = mpmath.findroot(
+                lambda x: value(x) - (x * x - 2 * x * mpmath.log(x) - x), mpmath.mpf("0.12")
+            )
+            return float(a), float(b), float(value(a))
+
+    def test_constants(self, reference):
+        a_ref, b_ref, v_ref = reference
+        sol = asymptotic_solution()
+        assert abs(sol.a - a_ref) <= 1e-14
+        assert abs(sol.b - b_ref) <= 1e-14
+        assert abs(sol.value - v_ref) <= 1e-14
 
 
 class TestAsymptoticValue:

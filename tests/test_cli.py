@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from oracles import write_table_out_rows
 
 from shelflife import cli
 from shelflife.cli import main
@@ -69,6 +70,21 @@ class TestSolveCommand:
             cells = line.split(",")
             assert float(cells[3]) == float(res.continuation[k])
             assert cells[4] == str(int(k > res.thresholds.k1))
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 1000])
+    def test_table_out_bytes_match_row_writer(self, capsys, tmp_path, n):
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        code, _, _ = run_cli(["solve", "--n", str(n), "--table-out", str(new)], capsys)
+        assert code == 0
+        write_table_out_rows(old, n)
+        assert new.read_bytes() == old.read_bytes()
+
+    @pytest.mark.parametrize("rows", [1, 3, 8, 9])
+    def test_table_out_block_boundaries(self, tmp_path, rows):
+        old = tmp_path / "old.csv"
+        write_table_out_rows(old, 10)
+        blocks = "".join(cli._table_out_blocks(solve(10), 10, rows=rows))
+        assert blocks == old.read_text()
 
     def test_domain_error_exits_2(self, capsys):
         code, out, err = run_cli(["solve", "--n", "1"], capsys)
@@ -229,3 +245,28 @@ class TestAsymptoticCommand:
         assert code == 3
         assert out == ""
         assert err.startswith("numeric failure:")
+
+    def test_root_finder_failure_exits_3(self, capsys, monkeypatch):
+        # b so small that the bracket [1e-4, b - 1e-4] for a is empty
+        monkeypatch.setattr(cli.asymptotic, "solve_b", lambda: 1.2e-4)
+        code, out, err = run_cli(["asymptotic"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numeric failure: root bracketing for a failed")
+
+
+def test_cli_runs_without_scipy():
+    """The package and the asymptotic/table commands load no scipy module."""
+    script = (
+        "import io, sys, contextlib\n"
+        "import shelflife\n"
+        "from shelflife import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['asymptotic']) == 0\n"
+        "    assert cli.main(['table']) == 0\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "[]\n"

@@ -171,6 +171,12 @@ class TestExhaustivePolicyValue:
         with pytest.raises(ValueError):
             exhaustive_policy_value((3, 2), 5)
 
+    @pytest.mark.parametrize("n", [1, 0, 2.0, 5.0, True, "5"])
+    def test_rejects_horizons_solve_rejects(self, n):
+        # n = 1 used to be enumerated; floats and bools slipped past the range check
+        with pytest.raises(ValueError, match="n must"):
+            exhaustive_policy_value((0, 0), n)
+
 
 class TestPermutationModeAgreement:
     def test_full_enumeration_identical_at_n6(self):
@@ -223,6 +229,12 @@ class TestMonteCarlo:
             monte_carlo(10, (1, 4), 100, -1)
         with pytest.raises(ValueError):
             monte_carlo(10, (1, 4), 100, 2**64)
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_rejects_horizons_below_two(self, n):
+        # the same lower bound as solve and policy_value
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            monte_carlo(n, (0, 0), 100, 1)
 
     @pytest.mark.parametrize(
         "n, trials, seed",
