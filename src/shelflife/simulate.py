@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .solver import _check_int, _check_policy
+from ._validate import _check_int, _check_policy
 
 BLOCK = 32768
 
@@ -187,16 +187,23 @@ def monte_carlo(n: int, policy, trials: int, seed: int) -> McEstimate:
 
 
 def exhaustive_policy_value(policy, n: int) -> float:
-    """Exact policy value by enumerating every rank sequence.
+    """Exact policy value by enumerating every class of rank sequences.
 
-    Each sequence (y_1..y_n) has probability prod_k 1/k = 1/n!; n is limited
-    to 2..10 so that the n! enumeration stays tractable.  Accumulation is
-    compensated (math.fsum).
+    A threshold policy and the end of its candidacy read y_k only through
+    min(y_k, 3), so the sequences fall into 2*3**(n-2) classes: y_1 = 1,
+    y_2 in {1, 2} and y_k in {1, 2, 3} for k >= 3, where 3 stands for the
+    k - 2 ranks above 2.  Each class is traced once by `realized_outcome` and
+    counts prod(k - 2) over its 3-positions of the n! equally likely
+    sequences.  The durations are summed as integers, so the result
+    total / (n * n!) is the exact value correctly rounded.  n is limited to
+    2..10.
     """
     _check_int(n, "n", 2, 10)
     _check_policy(policy, n)
-    total = math.fsum(
-        realized_outcome((1,) + tail, policy).normalized_payoff
-        for tail in itertools.product(*(range(1, k + 1) for k in range(2, n + 1)))
-    )
-    return total / math.factorial(n)
+    total = 0
+    for seq in itertools.product((1,), (1, 2), *[(1, 2, 3)] * (n - 2)):
+        out = realized_outcome(seq, policy)
+        if out.stop_time is not None:
+            weight = math.prod(k - 2 for k, y in enumerate(seq, 1) if y == 3)
+            total += weight * (out.end_time - out.stop_time)
+    return total / (n * math.factorial(n))

@@ -18,6 +18,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from ._validate import _check_horizon, _check_int, _check_policy, _check_time
 from .special import harmonic_diff, trigamma_diff
 
 
@@ -40,23 +41,6 @@ class SolveResult(NamedTuple):
     value: float
     state_values: np.ndarray
     continuation: np.ndarray
-
-
-def _check_int(x, name, lo=None, hi=None):
-    """Reject anything but a non-bool integer, and one outside lo..hi (hi optional)."""
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {x!r}")
-    if lo is not None and (x < lo or (hi is not None and x > hi)):
-        bounds = f">= {lo}" if hi is None else f"in {lo}..{hi}"
-        raise ValueError(f"{name} must be {bounds}, got {x}")
-
-
-def _check_horizon(n):
-    _check_int(n, "horizon", 2)
-
-
-def _check_time(k, n, name="k"):
-    _check_int(k, name, 1, n)
 
 
 # Point queries (payoff, mean_operator, --table-out) hit one horizon at a time,
@@ -226,15 +210,6 @@ def solve(n: int) -> SolveResult:
     )
 
 
-def _check_policy(policy, n):
-    k1, k2 = policy
-    _check_int(k1, "k1")
-    _check_int(k2, "k2")
-    if not 0 <= k1 <= k2 <= n:
-        raise ValueError(f"need 0 <= k1 <= k2 <= {n}, got ({k1}, {k2})")
-    return k1, k2
-
-
 def policy_value(policy, n: int) -> float:
     """Exact value of an arbitrary threshold pair: the solve() recursion with
     the stop/continue decision forced by the policy instead of maximized."""
@@ -259,6 +234,8 @@ def closed_form_value(k1: int, k2: int, n: int) -> float:
     all-stop region).
     """
     _check_horizon(n)
+    _check_int(k1, "k1")
+    _check_int(k2, "k2")
     if not 1 <= k1 < k2 <= n:
         raise ValueError(f"need 1 <= k1 < k2 <= n, got ({k1}, {k2}) with n={n}")
     D = harmonic_diff(k1, k2)

@@ -1,12 +1,17 @@
 """Integer-argument digamma/trigamma differences and the Lambert W function.
 
 The solver only ever needs psi and psi_1 at integer arguments, and only as
-differences, so both reduce to short finite sums -- no gamma-function
-machinery.  Sums run smallest-terms-first (descending j) because the results
-feed differences of near-equal magnitudes at large horizons.
+differences, so both reduce to finite sums of 1/j and 1/j**2 -- no
+gamma-function machinery.  Each is one numpy reduction, whose pairwise
+summation keeps the rounding error near a few ulp even at horizons of 10^6,
+where the results feed differences of near-equal magnitudes.
 """
 
 import math
+
+import numpy as np
+
+from ._validate import _check_int
 
 
 def harmonic_diff(k: int, n: int) -> float:
@@ -14,12 +19,11 @@ def harmonic_diff(k: int, n: int) -> float:
 
     Returns exactly 0.0 when k == n.
     """
+    _check_int(k, "k")
+    _check_int(n, "n")
     if k < 1 or n < k:
         raise ValueError(f"harmonic_diff needs 1 <= k <= n, got k={k}, n={n}")
-    total = 0.0
-    for j in range(n - 1, k - 1, -1):
-        total += 1.0 / j
-    return total
+    return float(np.sum(1.0 / np.arange(n - 1, k - 1, -1.0)))
 
 
 def trigamma_diff(k: int, s: int) -> float:
@@ -27,12 +31,12 @@ def trigamma_diff(k: int, s: int) -> float:
 
     Equals -sum of 1/j**2 for j in (k, s]; zero when k == s, never positive.
     """
+    _check_int(k, "k")
+    _check_int(s, "s")
     if k < 1 or s < k:
         raise ValueError(f"trigamma_diff needs 1 <= k <= s, got k={k}, s={s}")
-    total = 0.0
-    for j in range(s, k, -1):
-        total -= 1.0 / (j * j)
-    return total
+    j = np.arange(s, k, -1.0)
+    return float(np.sum(-1.0 / (j * j)))
 
 
 _BRANCH_POINT = -math.exp(-1.0)

@@ -3,19 +3,23 @@
 They compute the same quantities as ``shelflife.solver`` and
 ``shelflife.simulate`` by independent or slower routes: expectations summed
 over the end-time pmf, the mean operator as a direct sum over the embedded
-chain, backward induction as a per-k Python loop over plain floats, and
-Monte Carlo trials as full rank sequences scanned one column at a time.
+chain, backward induction as a per-k Python loop over plain floats or exact
+rationals, policy values by enumerating all n! rank sequences, and Monte
+Carlo trials as full rank sequences scanned one column at a time.
 """
 
 import csv
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
+from shelflife._validate import _check_horizon
+from shelflife.simulate import realized_outcome
 from shelflife.solver import (
     PolicyThresholds,
     SolveResult,
-    _check_horizon,
     _payoff_tables,
     duration_pmf,
     payoff,
@@ -105,6 +109,38 @@ def policy_value_loop(policy, n: int) -> float:
         v2 = p2[k] if k > k2 else c
         c = (v1 + v2 + (k - 2) * c) / k
     return p1[1] if k1 == 0 else c
+
+
+def policy_value_fraction(policy, n: int) -> Fraction:
+    """Oracle for ``policy_value`` and ``exhaustive_policy_value``: the
+    forced-decision recursion of :func:`policy_value_loop` in exact
+    rationals, with the payoffs from their closed forms
+    phi(k, 1) = (k/n^2)(1 + k - n + 2n sum_{j=k}^{n-1} 1/j) and
+    phi(k, 2) = k(n - k + 1)/n^2."""
+    k1, k2 = policy
+    H = [Fraction(0)] * (n + 1)
+    for k in range(n - 1, 0, -1):
+        H[k] = H[k + 1] + Fraction(1, k)
+
+    def phi1(k):
+        return Fraction(k, n * n) * (1 + k - n + 2 * n * H[k])
+
+    c = Fraction(0)
+    for k in range(n, 1, -1):
+        v1 = phi1(k) if k > k1 else c
+        v2 = Fraction(k * (n - k + 1), n * n) if k > k2 else c
+        c = (v1 + v2 + (k - 2) * c) / k
+    return phi1(1) if k1 == 0 else c
+
+
+def exhaustive_policy_value_fsum(policy, n: int) -> float:
+    """Oracle for ``exhaustive_policy_value``: all n! rank sequences, each of
+    probability 1/n!, traced by ``realized_outcome`` and summed with math.fsum."""
+    total = math.fsum(
+        realized_outcome((1,) + tail, policy).normalized_payoff
+        for tail in itertools.product(*(range(1, k + 1) for k in range(2, n + 1)))
+    )
+    return total / math.factorial(n)
 
 
 def write_table_out_rows(path, n: int) -> None:

