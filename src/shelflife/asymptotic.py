@@ -100,8 +100,7 @@ def solve_a(b: float) -> float:
 
 def asymptotic_value() -> float:
     """Limit normalized value ~ 0.403827."""
-    b = solve_b()
-    return limit_value_function(solve_a(b), b)
+    return asymptotic_solution().value
 
 
 def asymptotic_solution() -> AsymptoticSolution:

@@ -20,13 +20,13 @@ from . import asymptotic, simulate, solver
 TABLE_NS = (10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 200, 500, 1000)
 
 
-def _emit_json(record, out=None):
-    json.dump(record, out or sys.stdout)
-    (out or sys.stdout).write("\n")
+def _emit_json(record):
+    json.dump(record, sys.stdout)
+    sys.stdout.write("\n")
 
 
-def _csv_writer(out=None):
-    return csv.writer(out or sys.stdout, lineterminator="\n")
+def _csv_writer():
+    return csv.writer(sys.stdout, lineterminator="\n")
 
 
 def _cell(v):
@@ -46,7 +46,7 @@ def _table_out_blocks(res, n, rows=1 << 16):
     """The --table-out CSV in blocks of rows, each built a column at a time.
 
     No field needs quoting, so plain joins give what csv.writer would."""
-    _, phi1, phi2 = solver._payoff_tables(n)
+    phi1, phi2, _ = solver._payoff_tables(n)
     k1, k2 = res.thresholds
     cont = res.continuation
     yield "k,phi1,phi2,continuation,stop1,stop2\n"

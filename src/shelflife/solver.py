@@ -44,18 +44,22 @@ class SolveResult(NamedTuple):
 
 
 # Point queries (payoff, mean_operator, --table-out) hit one horizon at a time,
-# and one entry holds about 24 MB at n = 10^6, so keep only a few.
+# and one entry holds about 24 MB at n = 10^6, so keep only a few.  The
+# harmonic tail H[k] = sum_{j=k}^{n-1} 1/j is needed only to build phi1 and M.
 @lru_cache(maxsize=8)
 def _payoff_tables(n: int):
-    """(H, phi1, phi2) over k = 0..n: H[k] = sum_{j=k}^{n-1} 1/j (H[n] = 0,
-    H[0] unused) and phi_r[k] = payoff(k, r, n)."""
+    """(phi1, phi2, M) over k = 0..n: phi_r[k] = payoff(k, r, n) and
+    M[k] = mean_operator(k, n) (index 0 unused)."""
     H = np.zeros(n + 1)
-    inv = 1.0 / np.arange(1, n, dtype=np.float64)
-    H[1:n] = np.cumsum(inv[::-1])[::-1]
+    H[1:n] = np.cumsum(1.0 / np.arange(n - 1, 0, -1.0))[::-1]
     k = np.arange(0, n + 1, dtype=np.float64)
     phi1 = (k / n**2) * (1.0 + k - n + 2.0 * n * H)
     phi2 = k * (n - k + 1.0) / n**2
-    return H, phi1, phi2
+    # M = 2(x^2 - x + xH) with x = k/n, built in the memory of k and H so
+    # that the build never holds more than five arrays
+    x = np.divide(k, n, out=k)
+    M = 2.0 * (x * x - x + np.multiply(x, H, out=H))
+    return phi1, phi2, M
 
 
 def duration_pmf(i: int, r: int, n: int) -> dict:
@@ -100,7 +104,7 @@ def payoff(k: int, r: int, n: int) -> float:
         raise ValueError(f"rank must be >= 1, got {r}")
     if r > 2:
         return 0.0
-    _, phi1, phi2 = _payoff_tables(n)
+    phi1, phi2, _ = _payoff_tables(n)
     return float(phi1[k] if r == 1 else phi2[k])
 
 
@@ -132,31 +136,24 @@ def mean_operator(k: int, n: int) -> float:
     """
     _check_horizon(n)
     _check_time(k, n)
-    H = _payoff_tables(n)[0]
-    x = k / n
-    return 2.0 * (x * x - x + x * float(H[k]))
+    return float(_payoff_tables(n)[2][k])
 
 
-def _continuation(phi1, phi2, k1, k2, n):
+def _continuation(phi1, M, k1, k2, n):
     """w~(k) for k = 1..n+1 (index 0 unused) under the threshold pair k1 <= k2.
 
     The recursion w~(k) = [v1 + v2 + (k-2) w~(k+1)]/k is linear in each stop
-    region, so each region is one suffix sum:
-      all-stop, k > max(k2, 2): w~(k)/((k-1)(k-2)) sums (phi1+phi2)/(k(k-1)(k-2));
+    region:
+      all-stop, k > max(k2, 1): passing at k-1 and stopping at the next
+        candidate, so w~(k) = M(k-1), copied from the table (M(n) = 0);
       rank-1 only, k1 < k <= k2: w~(k)/(k-1) sums phi1/(k(k-1)) on top of
         w~(k2+1)/k2;
       both continue, k <= k1: flat, w~(k) = w~(k1+1) exactly.
-    At k = 2 the all-stop average is (phi1+phi2)/2, and at k = 1 only rank 1
-    exists, so w~(1) = phi1(1) when k1 = 0.
+    At k = 1 only rank 1 exists, so w~(1) = phi1(1) when k1 = 0.
     """
     cont = np.zeros(n + 2)
-    lo = max(k2, 2) + 1
-    k = np.arange(lo, n + 1, dtype=np.float64)
-    scale = (k - 1.0) * (k - 2.0)
-    tail = (phi1[lo:] + phi2[lo:]) / (k * scale)
-    cont[lo : n + 1] = np.cumsum(tail[::-1])[::-1] * scale
-    if k2 < 2:
-        cont[2] = (phi1[2] + phi2[2]) / 2.0
+    lo = max(k2, 1) + 1
+    cont[lo:] = M[lo - 1 :]
     lo = max(k1, 1) + 1
     if lo <= k2:
         k = np.arange(lo, k2 + 1, dtype=np.float64)
@@ -169,9 +166,9 @@ def _continuation(phi1, phi2, k1, k2, n):
     return cont
 
 
-def _last_below(phi, cont, lo, hi):
-    """Largest k in lo..hi with phi[k] < cont[k+1], or 0 if there is none."""
-    hits = np.flatnonzero(phi[lo : hi + 1] < cont[lo + 1 : hi + 2])
+def _last_below(phi, ref, lo, hi):
+    """Largest k in lo..hi with phi[k] < ref[k], or 0 if there is none."""
+    hits = np.flatnonzero(phi[lo : hi + 1] < ref[lo : hi + 1])
     return lo + int(hits[-1]) if hits.size else 0
 
 
@@ -187,17 +184,20 @@ def solve(n: int) -> SolveResult:
     Thresholds are k_r = max{k : phi(k, r) < w~(k+1)} (0 when stopping is
     optimal everywhere).  The stop regions are one-sided, so the optimum is
     the threshold-policy recursion of :func:`policy_value` at the last
-    crossings: k2 is read off the all-stop continuation (exact for k > k2),
-    then k1 off the continuation that stops only on rank 1 up to k2.  A
+    crossings.  Every candidate after k2 is accepted, so w~(k+1) = M(k) for
+    k >= k2 and k2 is the last k with phi(k, 2) < M(k).  One continuation
+    that stops only on rank 1 up to k2 then gives k1; its values above k1 do
+    not depend on k1, so flattening the head below k1 completes it.  A
     policy with k1 = 0 stops at the first item and never consults k2, so that
     degenerate case is reported canonically as (0, 0).  Ties between stopping
     and continuing are resolved by stopping.
     """
     _check_horizon(n)
-    _, phi1, phi2 = _payoff_tables(n)
-    k2 = _last_below(phi2, _continuation(phi1, phi2, 0, 0, n), 2, n)
-    k1 = _last_below(phi1, _continuation(phi1, phi2, 0, k2, n), 1, k2)
-    cont = _continuation(phi1, phi2, k1, k2, n)
+    phi1, phi2, M = _payoff_tables(n)
+    k2 = _last_below(phi2, M, 2, n)
+    cont = _continuation(phi1, M, 0, k2, n)
+    k1 = _last_below(phi1, cont[1:], 1, k2)
+    cont[1 : k1 + 1] = cont[k1 + 1]
 
     state_values = np.full((3, n + 1), np.nan)
     state_values[1, 1:] = np.maximum(phi1[1:], cont[2:])
@@ -215,8 +215,8 @@ def policy_value(policy, n: int) -> float:
     the stop/continue decision forced by the policy instead of maximized."""
     _check_horizon(n)
     k1, k2 = _check_policy(policy, n)
-    _, phi1, phi2 = _payoff_tables(n)
-    return float(_continuation(phi1, phi2, k1, k2, n)[1])
+    phi1, _, M = _payoff_tables(n)
+    return float(_continuation(phi1, M, k1, k2, n)[1])
 
 
 def closed_form_value(k1: int, k2: int, n: int) -> float:

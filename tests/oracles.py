@@ -28,7 +28,7 @@ from shelflife.solver import (
 
 
 def _payoff_lists(n):
-    _, phi1, phi2 = _payoff_tables(n)
+    phi1, phi2, _ = _payoff_tables(n)
     return phi1.tolist(), phi2.tolist()
 
 
@@ -131,6 +131,15 @@ def policy_value_fraction(policy, n: int) -> Fraction:
         v2 = Fraction(k * (n - k + 1), n * n) if k > k2 else c
         c = (v1 + v2 + (k - 2) * c) / k
     return phi1(1) if k1 == 0 else c
+
+
+def payoff_fraction(k: int, r: int, n: int) -> Fraction:
+    """Oracle for ``payoff`` in exact rationals, from the closed forms used by
+    :func:`policy_value_fraction`."""
+    if r == 2:
+        return Fraction(k * (n - k + 1), n * n)
+    H = sum((Fraction(1, j) for j in range(k, n)), Fraction(0))
+    return Fraction(k, n * n) * (1 + k - n + 2 * n * H)
 
 
 def exhaustive_policy_value_fsum(policy, n: int) -> float:

@@ -7,12 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     mean_operator_direct,
+    payoff_fraction,
     payoff_from_pmf,
     policy_value_fraction,
     policy_value_loop,
     solve_loop,
 )
 
+from shelflife.cli import TABLE_NS
 from shelflife.solver import (
     PolicyThresholds,
     _payoff_tables,
@@ -321,12 +323,54 @@ class TestBackwardInductionKernel:
         # phi_r(k) < w~(k+1) exactly for k <= k_r: the single crossing that
         # lets each stop region be summed in one pass
         res = solve(n)
-        _, phi1, phi2 = _payoff_tables(n)
+        phi1, phi2, _ = _payoff_tables(n)
         k = np.arange(n + 1)
         nxt = res.continuation[1:]
         for r, phi in ((1, phi1), (2, phi2)):
             below = (phi < nxt)[r:]
             assert np.array_equal(below, k[r:] <= res.thresholds[r - 1]), r
+
+
+class TestAllStopIsTheMeanOperator:
+    """After k2 every candidate is accepted, so the continuation there is the
+    one-step mean operator, bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 10, 1000])
+    def test_policy_k_k_is_the_mean_operator(self, n):
+        for k in range(1, n + 1):
+            assert policy_value((k, k), n) == mean_operator(k, n), k
+
+    def test_policy_k_k_is_the_mean_operator_sampled(self):
+        n = 10**5
+        rng = np.random.default_rng(20260814)
+        for k in [1, 2, n - 1, n] + rng.integers(1, n + 1, 200).tolist():
+            assert policy_value((k, k), n) == mean_operator(k, n), k
+
+    @pytest.mark.parametrize("n", [9, 10, 57, 100, 1000, 10**5])
+    def test_continuation_after_k2(self, n):
+        res = solve(n)
+        for k in range(res.thresholds.k2, n + 1):
+            assert res.continuation[k + 1] == mean_operator(k, n), k
+
+
+class TestTableRowsExact:
+    """Every row of the `table` output certified in exact rationals: each
+    threshold is the last k at which continuing is strictly better."""
+
+    @pytest.mark.parametrize("n", TABLE_NS)
+    def test_thresholds_are_exact_crossings(self, n):
+        k1, k2 = solve(n).thresholds
+
+        def M(k):
+            return policy_value_fraction((k, k), n)
+
+        def v(k):
+            return policy_value_fraction((k, k2), n)
+
+        assert payoff_fraction(k2, 2, n) < M(k2)
+        assert payoff_fraction(k2 + 1, 2, n) >= M(k2 + 1)
+        assert payoff_fraction(k1, 1, n) < v(k1)
+        assert payoff_fraction(k1 + 1, 1, n) >= v(k1 + 1)
 
 
 class TestPolicyValue:
