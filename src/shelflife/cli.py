@@ -5,7 +5,9 @@ RFC-4180-style with a header row and LF line endings.  The `table` subcommand
 renders the summary table at fixed 6 decimals (round-half-even) so its output
 is byte-stable; everything else serializes floats at full repr precision.
 
-Exit codes: 0 success, 2 usage/domain or file I/O error, 3 numeric failure.
+Exit codes: 0 success, 2 usage/domain, file I/O or out-of-memory error (an
+array too large to allocate, such as --table-out at n = 10^15), 3 numeric
+failure.
 """
 
 import argparse
@@ -225,7 +227,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

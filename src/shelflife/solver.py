@@ -13,13 +13,17 @@ r in {1, 2}.  A threshold pair (k1, k2) stops at (k, 1) iff k > k1 and at
 (k, 2) iff k > k2.
 """
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from ._validate import _check_horizon, _check_int, _check_policy, _check_time
-from .special import harmonic_diff, trigamma_diff
+from .asymptotic import asymptotic_solution
+from .special import _psi_exact, harmonic_diff, trigamma_diff
+
+# The limits a and b of k1/n and k2/n, where the threshold searches start.
+_A_LIMIT, _B_LIMIT, _ = asymptotic_solution()
 
 
 class PolicyThresholds(NamedTuple):
@@ -29,18 +33,34 @@ class PolicyThresholds(NamedTuple):
     k2: int
 
 
-class SolveResult(NamedTuple):
-    """Output of :func:`solve`.
+class SolveResult:
+    """Output of :func:`solve`: ``thresholds`` and ``value``, and two arrays
+    that take O(n) time and memory, so each is built on first read and kept.
 
     state_values[r][k] is w(k, r), the optimal value at state (k, r); row 0 is
     unused and state (1, 2) does not exist (NaN).  continuation[k] is the
     value w~(k) of arriving at time k with nothing held; continuation[n+1] = 0.
     """
 
-    thresholds: PolicyThresholds
-    value: float
-    state_values: np.ndarray
-    continuation: np.ndarray
+    def __init__(self, thresholds, value, n, k2):
+        self.thresholds, self.value = thresholds, value
+        self._n, self._k2 = n, k2  # the searched k2, which the canonical (0, 0) hides
+
+    @cached_property
+    def continuation(self):
+        phi1, _, M = _payoff_tables(self._n)
+        cont = _continuation(phi1, M, self._k2, self._n)
+        cont[1 : self.thresholds.k1 + 2] = self.value
+        return cont
+
+    @cached_property
+    def state_values(self):
+        phi1, phi2, _ = _payoff_tables(self._n)
+        cont = self.continuation
+        state_values = np.full((3, self._n + 1), np.nan)
+        state_values[1, 1:] = np.maximum(phi1[1:], cont[2:])
+        state_values[2, 2:] = np.maximum(phi2[2:], cont[3:])
+        return state_values
 
 
 # Point queries (payoff, mean_operator, --table-out) hit one horizon at a time,
@@ -139,84 +159,111 @@ def mean_operator(k: int, n: int) -> float:
     return float(_payoff_tables(n)[2][k])
 
 
-def _continuation(phi1, M, k1, k2, n):
-    """w~(k) for k = 1..n+1 (index 0 unused) under the threshold pair k1 <= k2.
+def _continuation(phi1, M, k2, n):
+    """w~(k) for k = 2..n+1 (entries 0 and 1 unused) under the pair (0, k2).
+    From k1 + 1 on it is also w~ under any (k1, k2); below, that w~ is flat.
 
     The recursion w~(k) = [v1 + v2 + (k-2) w~(k+1)]/k is linear in each stop
     region:
       all-stop, k > max(k2, 1): passing at k-1 and stopping at the next
         candidate, so w~(k) = M(k-1), copied from the table (M(n) = 0);
-      rank-1 only, k1 < k <= k2: w~(k)/(k-1) sums phi1/(k(k-1)) on top of
-        w~(k2+1)/k2;
-      both continue, k <= k1: flat, w~(k) = w~(k1+1) exactly.
-    At k = 1 only rank 1 exists, so w~(1) = phi1(1) when k1 = 0.
+      rank-1 only, 2 <= k <= k2: w~(k)/(k-1) sums phi1/(k(k-1)) on top of
+        w~(k2+1)/k2.
     """
     cont = np.zeros(n + 2)
     lo = max(k2, 1) + 1
     cont[lo:] = M[lo - 1 :]
-    lo = max(k1, 1) + 1
-    if lo <= k2:
-        k = np.arange(lo, k2 + 1, dtype=np.float64)
-        tail = phi1[lo : k2 + 1] / (k * (k - 1.0))
-        cont[lo : k2 + 1] = (np.cumsum(tail[::-1])[::-1] + cont[k2 + 1] / k2) * (k - 1.0)
-    if k1 == 0:
-        cont[1] = phi1[1]
-    else:
-        cont[1 : k1 + 1] = cont[k1 + 1]
+    if k2 >= 2:
+        k = np.arange(2, k2 + 1, dtype=np.float64)
+        tail = phi1[2 : k2 + 1] / (k * (k - 1.0))
+        cont[2 : k2 + 1] = (np.cumsum(tail[::-1])[::-1] + cont[k2 + 1] / k2) * (k - 1.0)
     return cont
 
 
-def _last_below(phi, ref, lo, hi):
-    """Largest k in lo..hi with phi[k] < ref[k], or 0 if there is none."""
-    hits = np.flatnonzero(phi[lo : hi + 1] < ref[lo : hi + 1])
-    return lo + int(hits[-1]) if hits.size else 0
+def _last_true(test, lo, hi, guess):
+    """Largest k in lo..hi with test(k), or 0 if none, for a test that holds
+    on an initial segment of lo..hi.  Gallops from the guess by doubling steps
+    until the sign change is bracketed, then bisects; the guess sets only the
+    cost, O(log |answer - guess|) tests, never the answer."""
+    good, bad = lo - 1, hi + 1  # the test is taken to hold at lo - 1 and fail at hi + 1
+    k, step = min(max(guess, lo), hi), 1
+    while bad - good > 1:
+        if not good < k < bad:  # bracketed: bisect from here on
+            k, step = (good + bad) // 2, 0
+        if test(k):
+            good, k = k, k + step
+        else:
+            bad, k = k, k - step
+        step *= 2
+    return good if good >= lo else 0
+
+
+# Float margins nearer zero than this (error 2e-15 measured) are settled exactly;
+# they move by about 1.5/n per step, so only next to a crossing at n > 10^12.
+_TIE = 1e-12
+
+
+def _rank2_continues(n):
+    """k -> phi(k, 2) < M(k) on 2..n, that is g(k) = 3 - 3k/n + 1/n -
+    2(psi(n) - psi(k)) < 0.  g rises while k < 2n/3 and stays >= g(n) = 1/n
+    > 0 after that, so the test holds on an initial segment."""
+    def test(k):
+        margin = 2.0 * harmonic_diff(k, n) - (3 * (n - k) + 1) / n
+        if abs(margin) < _TIE:  # the same, times n
+            margin = 2 * n * (_psi_exact(n)[0] - _psi_exact(k)[0]) - 3 * (n - k) - 1
+        return margin > 0
+
+    return test
+
+
+def _rank1_continues(k2, n):
+    """k -> phi(k, 1) < v~(k, k2) on 1..k2-1, where v~(k, k2) = w~(k+1) under
+    (k, k2).  (At k2, w~(k2+1) = M(k2) = phi(k2, 1) - phi(k2, 2), so k1 < k2.)
+    In closed_form_value's terms, (n^2/k)(v~ - phi(k, 1)) is
+    n D (D + 2E - 3) + 3 k2 - 2k - 1 - n + 2D - n Q."""
+    def test(k):
+        phi1 = (k / n**2) * (1.0 + k - n + 2.0 * n * harmonic_diff(k, n))
+        margin = closed_form_value(k, k2, n) - phi1
+        if abs(margin) < _TIE:
+            (p_k, q_k), (p_k2, q_k2), (p_n, _) = map(_psi_exact, (k, k2, n))
+            D, E = p_k2 - p_k, p_n - p_k2
+            margin = n * (D * (D + 2 * E - 3) - q_k + q_k2) + 2 * D + 3 * k2 - 2 * k - 1 - n
+        return margin > 0
+
+    return test
 
 
 def solve(n: int) -> SolveResult:
-    """Optimal two-threshold policy and value by backward induction.
+    """Optimal two-threshold policy and value, in O(log n) time and O(1) memory.
 
-    w~(n+1) = 0; for k from n down to 2:
-    w(k, r) = max(phi(k, r), w~(k+1)) and
-    w~(k) = [w(k,1) + w(k,2) + (k-2) w~(k+1)]/k, where the average collapses
-    to w~(k+1) exactly when both ranks continue.  At k = 1 only rank 1 exists
-    and w~(1) = w(1, 1) is the value.
-
-    Thresholds are k_r = max{k : phi(k, r) < w~(k+1)} (0 when stopping is
-    optimal everywhere).  The stop regions are one-sided, so the optimum is
-    the threshold-policy recursion of :func:`policy_value` at the last
-    crossings.  Every candidate after k2 is accepted, so w~(k+1) = M(k) for
-    k >= k2 and k2 is the last k with phi(k, 2) < M(k).  One continuation
-    that stops only on rank 1 up to k2 then gives k1; its values above k1 do
-    not depend on k1, so flattening the head below k1 completes it.  A
-    policy with k1 = 0 stops at the first item and never consults k2, so that
-    degenerate case is reported canonically as (0, 0).  Ties between stopping
-    and continuing are resolved by stopping.
+    Backward induction from w~(n+1) = 0 sets w(k, r) = max(phi(k, r), w~(k+1))
+    and w~(k) = [w(k,1) + w(k,2) + (k-2) w~(k+1)]/k; w~(1) is the value.  The
+    thresholds k_r = max{k : phi(k, r) < w~(k+1)} are each the one sign change
+    of a closed form, searched from the limits a n and b n: w~(k+1) = M(k) for
+    k >= k2, and v~(k, k2) below.  The value is :func:`policy_value` of the
+    thresholds.  A policy with k1 = 0 stops at the first item and never
+    consults k2, so it is reported canonically as (0, 0).  Ties between
+    stopping and continuing are resolved by stopping.
     """
     _check_horizon(n)
-    phi1, phi2, M = _payoff_tables(n)
-    k2 = _last_below(phi2, M, 2, n)
-    cont = _continuation(phi1, M, 0, k2, n)
-    k1 = _last_below(phi1, cont[1:], 1, k2)
-    cont[1 : k1 + 1] = cont[k1 + 1]
-
-    state_values = np.full((3, n + 1), np.nan)
-    state_values[1, 1:] = np.maximum(phi1[1:], cont[2:])
-    state_values[2, 2:] = np.maximum(phi2[2:], cont[3:])
-    return SolveResult(
-        thresholds=PolicyThresholds(k1, k2 if k1 else 0),
-        value=float(cont[1]),
-        state_values=state_values,
-        continuation=cont,
-    )
+    n = int(n)
+    k2 = _last_true(_rank2_continues(n), 2, n, int(_B_LIMIT * n))
+    k1 = _last_true(_rank1_continues(k2, n), 1, k2 - 1, int(_A_LIMIT * n))
+    thresholds = PolicyThresholds(k1, k2 if k1 else 0)
+    return SolveResult(thresholds, policy_value(thresholds, n), n, k2)
 
 
 def policy_value(policy, n: int) -> float:
-    """Exact value of an arbitrary threshold pair: the solve() recursion with
-    the stop/continue decision forced by the policy instead of maximized."""
+    """Exact value of an arbitrary threshold pair (k1, k2): payoff(1, 1, n)
+    when k1 = 0 (stop at once), mean_operator(k1, n) when k1 = k2 (stop at
+    the next candidate), and the closed form v~(k1, k2) otherwise."""
     _check_horizon(n)
     k1, k2 = _check_policy(policy, n)
-    phi1, _, M = _payoff_tables(n)
-    return float(_continuation(phi1, M, k1, k2, n)[1])
+    if k1 == 0:
+        return payoff(1, 1, n)
+    if k1 == k2:
+        return mean_operator(k1, n)
+    return closed_form_value(k1, k2, n)
 
 
 def closed_form_value(k1: int, k2: int, n: int) -> float:

@@ -4,14 +4,16 @@ They compute the same quantities as ``shelflife.solver`` and
 ``shelflife.simulate`` by independent or slower routes: expectations summed
 over the end-time pmf, the mean operator as a direct sum over the embedded
 chain, backward induction as a per-k Python loop over plain floats or exact
-rationals, policy values by enumerating all n! rank sequences, and Monte
-Carlo trials as full rank sequences scanned one column at a time.
+rationals, thresholds by a scan of the full payoff tables, policy values by
+enumerating all n! rank sequences, and Monte Carlo trials as full rank
+sequences scanned one column at a time.
 """
 
 import csv
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from shelflife._validate import _check_horizon
 from shelflife.simulate import realized_outcome
 from shelflife.solver import (
     PolicyThresholds,
-    SolveResult,
+    _continuation,
     _payoff_tables,
     duration_pmf,
     payoff,
@@ -50,7 +52,7 @@ def mean_operator_direct(k: int, n: int) -> float:
     )
 
 
-def solve_loop(n: int) -> SolveResult:
+def solve_loop(n: int) -> SimpleNamespace:
     """Oracle for ``solve``: backward induction one k at a time.
 
     Each state takes max(stop, continue) on its own, so this does not assume
@@ -91,12 +93,32 @@ def solve_loop(n: int) -> SolveResult:
     state_values = np.full((3, n + 1), np.nan)
     state_values[1, 1:] = w1[1:]
     state_values[2, 2:] = w2[2:]
-    return SolveResult(
+    return SimpleNamespace(
         thresholds=PolicyThresholds(k1, k2),
         value=cont[1],
         state_values=state_values,
         continuation=np.array(cont),
     )
+
+
+def _last_below(phi, ref, lo, hi):
+    """Largest k in lo..hi with phi[k] < ref[k], or 0 if there is none."""
+    hits = np.flatnonzero(phi[lo : hi + 1] < ref[lo : hi + 1])
+    return lo + int(hits[-1]) if hits.size else 0
+
+
+def solve_scan(n: int) -> PolicyThresholds:
+    """Oracle for ``solve``'s threshold search: each threshold read off the
+    full tables as the last k where continuing is strictly better, k2 against
+    the mean operator and k1 against one continuation pass that stops only on
+    rank 1 up to k2.  The tables bypass the solver's cache, so a large n
+    leaves nothing behind."""
+    _check_horizon(n)
+    phi1, phi2, M = _payoff_tables.__wrapped__(n)
+    k2 = _last_below(phi2, M, 2, n)
+    cont = _continuation(phi1, M, k2, n)
+    k1 = _last_below(phi1, cont[1:], 1, k2)
+    return PolicyThresholds(k1, k2 if k1 else 0)
 
 
 def policy_value_loop(policy, n: int) -> float:

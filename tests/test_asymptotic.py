@@ -190,6 +190,14 @@ class TestHighPrecisionOracle:
         extrapolated = 2.0 * solve(200_000).value - solve(100_000).value
         assert abs(extrapolated - v_ref) <= 1e-9
 
+    def test_horizon_1e15(self, reference):
+        a_ref, b_ref, v_ref = reference
+        n = 10**15
+        res = solve(n)
+        assert abs(res.thresholds.k1 / n - a_ref) <= 1e-12
+        assert abs(res.thresholds.k2 / n - b_ref) <= 1e-12
+        assert abs(res.value - v_ref) <= 2e-15
+
 
 class TestAsymptoticValue:
     def test_reference_value(self):

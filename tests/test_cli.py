@@ -99,6 +99,23 @@ class TestSolveCommand:
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_horizon_1e15(self, capsys):
+        code, out, err = run_cli(["solve", "--n", "1000000000000000"], capsys)
+        assert code == 0 and err == ""
+        record = json.loads(out)
+        assert (record["k1"], record["k2"]) == (120381306662927, 417188356134188)
+
+    def test_table_too_large_to_allocate_exits_2(self, tmp_path):
+        # 7.1 PiB is beyond a 47-bit address space, so the allocation fails at
+        # once and touches no memory
+        proc = subprocess.run(
+            [sys.executable, "-m", "shelflife", "solve", "--n", "1000000000000000",
+             "--table-out", str(tmp_path / "diag.csv")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
 
 class TestTableCommand:
     def test_reference_table_bytes(self, capsys):

@@ -1,6 +1,10 @@
+import functools
 import itertools
 import math
+import random
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,12 +16,16 @@ from oracles import (
     policy_value_fraction,
     policy_value_loop,
     solve_loop,
+    solve_scan,
 )
 
 from shelflife.cli import TABLE_NS
 from shelflife.solver import (
     PolicyThresholds,
+    _last_true,
     _payoff_tables,
+    _rank1_continues,
+    _rank2_continues,
     closed_form_value,
     duration_pmf,
     mean_operator,
@@ -303,6 +311,12 @@ class TestBackwardInductionKernel:
     def test_matches_loop_large(self, n):
         self.check_against_loop(n)
 
+    @pytest.mark.parametrize("n", range(2, 65))
+    def test_matches_loop_every_small_n(self, n):
+        # below n = 9 the thresholds are the canonical (0, 0), but the arrays
+        # must follow the k2 that the search found
+        self.check_against_loop(n)
+
     @given(st.integers(2, 3000), st.data())
     @settings(max_examples=200, deadline=None)
     def test_policy_value_matches_loop(self, n, data):
@@ -329,6 +343,88 @@ class TestBackwardInductionKernel:
         for r, phi in ((1, phi1), (2, phi2)):
             below = (phi < nxt)[r:]
             assert np.array_equal(below, k[r:] <= res.thresholds[r - 1]), r
+
+
+class TestThresholdSearch:
+    """The galloping search: exhaustively on a synthetic test, against a scan
+    of the full tables, and its answer independent of the starting guess."""
+
+    @pytest.mark.parametrize("lo", [1, 2])
+    def test_every_cut_and_guess(self, lo):
+        for hi in range(lo - 1, lo + 20):
+            for cut in range(lo - 1, hi + 1):
+
+                def test(k, cut=cut, hi=hi):
+                    assert lo <= k <= hi
+                    return k <= cut
+
+                for guess in range(lo - 3, hi + 4):
+                    got = _last_true(test, lo, hi, guess)
+                    assert got == (cut if cut >= lo else 0), (hi, cut, guess)
+
+    @pytest.mark.parametrize("n", [10**6, 10**7])
+    def test_matches_scan(self, n):
+        assert solve(n).thresholds == solve_scan(n)
+
+    def test_answer_does_not_depend_on_the_guess(self):
+        rng = random.Random(20260814)
+        for n in range(2, 3001):
+            ks = []
+            for lo, hi, test in ((2, n, _rank2_continues(n)), (1, None, None)):
+                if test is None:  # the rank-1 search runs below the k2 just found
+                    hi, test = ks[0] - 1, _rank1_continues(ks[0], n)
+                test = functools.cache(test)  # only to share evaluations
+                guesses = [lo, hi] + [rng.randint(lo, max(lo, hi)) for _ in range(20)]
+                found = {_last_true(test, lo, hi, g) for g in guesses}
+                assert len(found) == 1, (n, lo, hi, found)
+                ks.append(found.pop())
+            k2, k1 = ks
+            assert solve(n).thresholds == (k1, k2 if k1 else 0), n
+
+    def test_no_length_n_array(self):
+        tracemalloc.start()
+        try:
+            solve(10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+
+def mp_closed_form(k1, k2, n):
+    """closed_form_value's formula in mpmath at the working precision."""
+    k1, k2, n = map(mpmath.mpf, (k1, k2, n))
+    D = mpmath.digamma(k2) - mpmath.digamma(k1)
+    E = mpmath.digamma(n) - mpmath.digamma(k2)
+    Q = mpmath.polygamma(1, k1) - mpmath.polygamma(1, k2)
+    head = (k1 / n**2) * ((2 - n) * D + (k2 - k1) + n * (D * D - Q) + 2 * n * D * E)
+    return head + 2 * k1 * k2 / n**2 - 2 * k1 / n + (2 * k1 / n) * E
+
+
+class TestValueAccuracy:
+    @pytest.mark.parametrize("n", [10**4, 10**5, 10**6, 10**7, 10**9, 10**15])
+    def test_value_against_40_digits(self, n):
+        res = solve(n)
+        with mpmath.workdps(40):
+            assert abs(res.value - mp_closed_form(*res.thresholds, n)) <= 3e-16
+
+    @pytest.mark.parametrize("n", [9, 1000, 10**6, 10**15])
+    def test_thresholds_are_exact_crossings_in_40_digits(self, n):
+        """phi(k2, 2) < M(k2) <= ... and phi(k1, 1) < v~(k1, k2), with the
+        next k on the other side; at 10^15 both margins are near 1e-16."""
+        k1, k2 = solve(n).thresholds
+        with mpmath.workdps(40):
+
+            def g(k):  # phi(k, 2) - M(k), over k/n
+                return 3 - mpmath.mpf(3 * k - 1) / n - 2 * (mpmath.digamma(n) - mpmath.digamma(k))
+
+            def d(k):  # phi(k, 1) - v~(k, k2)
+                x = mpmath.mpf(k) / n
+                phi = x / n * (1 + k - n + 2 * n * (mpmath.digamma(n) - mpmath.digamma(k)))
+                return phi - mp_closed_form(k, k2, n)
+
+            assert g(k2) < 0 <= g(k2 + 1)
+            assert d(k1) < 0 <= d(k1 + 1)
 
 
 class TestAllStopIsTheMeanOperator:

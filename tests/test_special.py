@@ -108,6 +108,34 @@ class TestHighPrecision:
             assert abs(trigamma_diff(k, s) - expected) <= 1e-14
 
 
+# Both sides of the switch from exact terms to the series at argument 32, and
+# horizons of 10^15, where an O(n) sum could not even allocate its terms.
+SWITCH_PAIRS = [(k, k + d) for k in (1, 2, 31, 32, 33) for d in (30, 31, 32, 33, 100)]
+HUGE_PAIRS = [(1, 10**15), (10**15 - 40, 10**15), (417188356134188, 10**15)]
+
+
+class TestSeriesAgainstMpmath:
+    """The O(1) sums against mpmath with 30 digits left in the difference:
+    50 working digits, since psi(10^15) ~ 34.5 and the shortest range is 4e-14."""
+
+    @pytest.mark.parametrize("k, n", SWITCH_PAIRS + HUGE_PAIRS)
+    def test_harmonic_diff_within_2_ulp(self, k, n):
+        with mpmath.workdps(50):
+            expected = float(mpmath.digamma(n) - mpmath.digamma(k))
+        assert abs(harmonic_diff(k, n) - expected) <= 2 * math.ulp(expected)
+
+    @pytest.mark.parametrize("k, s", SWITCH_PAIRS + HUGE_PAIRS)
+    def test_trigamma_diff_within_1e_16(self, k, s):
+        with mpmath.workdps(50):
+            expected = mpmath.polygamma(1, s + 1) - mpmath.polygamma(1, k + 1)
+            assert abs(trigamma_diff(k, s) - expected) <= 1e-16
+
+    def test_empty_ranges_are_positive_zero(self):
+        for k in (1, 31, 32, 10**15):
+            assert math.copysign(1.0, harmonic_diff(k, k)) == 1.0
+            assert math.copysign(1.0, trigamma_diff(k, k)) == 1.0
+
+
 @pytest.mark.parametrize(
     "evaluate",
     [harmonic_diff, trigamma_diff, lambda k1, k2: closed_form_value(k1, k2, 10)],
