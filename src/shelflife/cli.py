@@ -4,6 +4,11 @@ JSON (default) carries full float precision with a stable key order; CSV is
 RFC-4180-style with a header row and LF line endings.  The `table` subcommand
 renders the summary table at fixed 6 decimals (round-half-even) so its output
 is byte-stable; everything else serializes floats at full repr precision.
+The per-k output (`pmf` and the --table-out file) is written in blocks of
+rows, so its text is never held whole and `pmf` holds one block of values at
+a time.  Checks and array builds come before the first byte, so a bad
+argument or an array too large to build leaves no output and no file.
+`main` builds its parser on its first call and reuses it.
 
 Exit codes: 0 success, 2 usage/domain, file I/O or out-of-memory error (an
 array too large to allocate, such as --table-out at n = 10^15), 3 numeric
@@ -12,19 +17,13 @@ failure.
 
 import argparse
 import csv
+import functools
 import json
 import sys
-
-import numpy as np
 
 from . import asymptotic, simulate, solver
 
 TABLE_NS = (10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 200, 500, 1000)
-
-
-def _emit_json(record):
-    json.dump(record, sys.stdout)
-    sys.stdout.write("\n")
 
 
 def _csv_writer():
@@ -41,31 +40,60 @@ def _emit_record(record, as_csv):
         w.writerow(record.keys())
         w.writerow([_cell(v) for v in record.values()])
     else:
-        _emit_json(record)
+        sys.stdout.write(json.dumps(record) + "\n")
+
+
+def _blocks(head, columns, lo, hi, tail, sep=",", eol="\n", rows=1 << 16):
+    """Yield head, then rows lo..hi-1 in blocks of `rows`, then tail.
+
+    Each column maps the bounds (a, b) of a block to its b - a cells as
+    strings; a row joins its cells with sep, and eol separates rows.  No
+    field needs quoting, so for CSV this gives what csv.writer would."""
+    yield head
+    for a in range(lo, hi, rows):
+        b = min(a + rows, hi)
+        block = eol.join(map(sep.join, zip(*(col(a, b) for col in columns))))
+        yield block if a == lo else eol + block
+    yield tail
+
+
+def _ints(a, b):
+    return map(str, range(a, b))
+
+
+def _floats(x):
+    return lambda a, b: map(repr, x[a:b].tolist())
+
+
+def _steps(t):
+    """The column int(k > t): a "0" for each k <= t, then "1"s."""
+    return lambda a, b: ("0" * min(max(t + 1 - a, 0), b - a)
+                         + "1" * min(max(b - 1 - t, 0), b - a))
 
 
 def _table_out_blocks(res, n, rows=1 << 16):
-    """The --table-out CSV in blocks of rows, each built a column at a time.
-
-    No field needs quoting, so plain joins give what csv.writer would."""
+    """The --table-out CSV; every array it reads is built before this returns."""
     phi1, phi2, _ = solver._payoff_tables(n)
     k1, k2 = res.thresholds
     cont = res.continuation
-    yield "k,phi1,phi2,continuation,stop1,stop2\n"
     # rank 2 does not exist at time 1
-    yield f"1,{float(phi1[1])!r},,{float(cont[1])!r},{int(1 > k1)},\n"
-    for lo in range(2, n + 1, rows):
-        hi = min(lo + rows, n + 1)
-        k = np.arange(lo, hi)
-        cols = (
-            map(str, range(lo, hi)),
-            map(repr, phi1[lo:hi].tolist()),
-            map(repr, phi2[lo:hi].tolist()),
-            map(repr, cont[lo:hi].tolist()),
-            map("01".__getitem__, (k > k1).tolist()),
-            map("01".__getitem__, (k > k2).tolist()),
-        )
-        yield "\n".join(map(",".join, zip(*cols))) + "\n"
+    head = ("k,phi1,phi2,continuation,stop1,stop2\n"
+            f"1,{float(phi1[1])!r},,{float(cont[1])!r},{int(1 > k1)},\n")
+    columns = (_ints, _floats(phi1), _floats(phi2), _floats(cont), _steps(k1), _steps(k2))
+    return _blocks(head, columns, 2, n + 1, "\n", rows=rows)
+
+
+def _pmf_blocks(i, r, n, as_csv, rows=1 << 16):
+    """The pmf command's output; the arguments are checked before this returns."""
+    survive = solver._pmf_survive(i, r, n)
+    probs = lambda a, b: map(repr, solver._pmf_block(i, r, a, b).tolist())
+    if as_csv:
+        tail = "\n" * (i < n) + f"survive,{survive!r}\n"
+        return _blocks("k,probability\n", (_ints, probs), i + 1, n + 1, tail, rows=rows)
+    head = f'{{"n": {n}, "i": {i}, "rank": {r}, "pmf": {{'
+    keys = lambda a, b: map('"{}"'.format, range(a, b))
+    return _blocks(head, (keys, probs), i + 1, n + 1, f'}}, "survive": {survive!r}}}\n',
+                   sep=": ", eol=", ", rows=rows)
 
 
 def cmd_solve(args):
@@ -77,8 +105,9 @@ def cmd_solve(args):
         "value": res.value,
     }
     if args.table_out:
+        blocks = _table_out_blocks(res, args.n)
         with open(args.table_out, "w", newline="") as fh:
-            fh.writelines(_table_out_blocks(res, args.n))
+            fh.writelines(blocks)
     _emit_record(record, args.csv)
     return 0
 
@@ -129,23 +158,7 @@ def cmd_simulate(args):
 
 
 def cmd_pmf(args):
-    pmf = solver.duration_pmf(args.i, args.rank, args.n)
-    survive = pmf.pop(args.n + 1)
-    if args.csv:
-        w = _csv_writer()
-        w.writerow(["k", "probability"])
-        for k in sorted(pmf):
-            w.writerow([k, repr(pmf[k])])
-        w.writerow(["survive", repr(survive)])
-    else:
-        record = {
-            "n": args.n,
-            "i": args.i,
-            "rank": args.rank,
-            "pmf": {str(k): pmf[k] for k in sorted(pmf)},
-            "survive": survive,
-        }
-        _emit_json(record)
+    sys.stdout.writelines(_pmf_blocks(args.i, args.rank, args.n, args.csv))
     return 0
 
 
@@ -223,8 +236,12 @@ def build_parser():
     return parser
 
 
+# built on main's first call; parse_args gives a new Namespace on every call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:

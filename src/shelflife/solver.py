@@ -82,6 +82,34 @@ def _payoff_tables(n: int):
     return phi1, phi2, M
 
 
+def _pmf_survive(i: int, r: int, n: int) -> float:
+    """Check (i, r, n) as duration_pmf does; return the mass of key n + 1."""
+    _check_horizon(n)
+    _check_time(i, n, "i")
+    if r not in (1, 2):
+        raise ValueError(f"rank must be 1 or 2, got {r}")
+    if r > i:
+        raise ValueError(f"rank {r} impossible at time {i}")
+    if r == 2:
+        return i * (i - 1) / (n * (n - 1))
+    return (2.0 * n * i - i * i - i) / (n * (n - 1))
+
+
+def _pmf_block(i: int, r: int, lo: int, hi: int) -> np.ndarray:
+    """:func:`duration_pmf` at k = lo..hi-1 (i < lo <= hi <= n + 1) as an array.
+
+    The denominator (k-2)(k-1)k is rounded to float once: up to 2^53 the pair
+    (k-2)(k-1) is exact in float64, beyond that the product is a Python int."""
+    k = np.arange(lo, hi)
+    if (hi - 3) * (hi - 2) <= 2**53:
+        den = ((k - 2) * (k - 1)).astype(np.float64) * k
+    else:
+        den = np.array([float((j - 2) * (j - 1) * j) for j in range(lo, hi)])
+    num = 2.0 * (i - 1) * i if r == 2 else 2.0 * i * (k - i - 1)
+    # den is 0 only at k = 2 (i = 1, r = 1), where the item cannot leave
+    return np.divide(num, den, out=np.zeros(len(den)), where=den > 0)
+
+
 def duration_pmf(i: int, r: int, n: int) -> dict:
     """Distribution of the candidacy end time for a rank-r item held from time i.
 
@@ -91,25 +119,9 @@ def duration_pmf(i: int, r: int, n: int) -> dict:
     overtaken by a new best and only the next candidate after that ends its
     candidacy -- so the i+1 entry is exactly 0 for r=1.
     """
-    _check_horizon(n)
-    _check_time(i, n, "i")
-    if r not in (1, 2):
-        raise ValueError(f"rank must be 1 or 2, got {r}")
-    if r > i:
-        raise ValueError(f"rank {r} impossible at time {i}")
-    pmf = {}
-    if r == 2:
-        for k in range(i + 1, n + 1):
-            pmf[k] = 2.0 * (i - 1) * i / ((k - 2) * (k - 1) * k)
-        pmf[n + 1] = i * (i - 1) / (n * (n - 1))
-    else:
-        for k in range(i + 1, n + 1):
-            if k == i + 1:
-                pmf[k] = 0.0
-            else:
-                pmf[k] = 2.0 * i * (k - i - 1) / ((k - 2) * (k - 1) * k)
-        pmf[n + 1] = (2.0 * n * i - i * i - i) / (n * (n - 1))
-    return pmf
+    survive = _pmf_survive(i, r, n)
+    values = np.append(_pmf_block(i, r, i + 1, n + 1), survive)
+    return dict(zip(range(i + 1, n + 2), values.tolist()))
 
 
 def payoff(k: int, r: int, n: int) -> float:

@@ -1,16 +1,18 @@
 """Reference implementations that the library is checked against.
 
-They compute the same quantities as ``shelflife.solver`` and
-``shelflife.simulate`` by independent or slower routes: expectations summed
-over the end-time pmf, the mean operator as a direct sum over the embedded
-chain, backward induction as a per-k Python loop over plain floats or exact
-rationals, thresholds by a scan of the full payoff tables, policy values by
-enumerating all n! rank sequences, and Monte Carlo trials as full rank
-sequences scanned one column at a time.
+They compute the same quantities as ``shelflife.solver``,
+``shelflife.simulate`` and ``shelflife.cli`` by independent or slower routes:
+the end-time pmf one key at a time, expectations summed over it, the mean
+operator as a direct sum over the embedded chain, backward induction as a
+per-k Python loop over plain floats or exact rationals, thresholds by a scan
+of the full payoff tables, policy values by enumerating all n! rank
+sequences, Monte Carlo trials as full rank sequences scanned one column at a
+time, and CLI output as one csv.writer row per line or one json.dump.
 """
 
 import csv
 import itertools
+import json
 import math
 from fractions import Fraction
 from types import SimpleNamespace
@@ -32,6 +34,24 @@ from shelflife.solver import (
 def _payoff_lists(n):
     phi1, phi2, _ = _payoff_tables(n)
     return phi1.tolist(), phi2.tolist()
+
+
+def duration_pmf_loop(i: int, r: int, n: int) -> dict:
+    """Oracle for ``duration_pmf``: one key at a time, each denominator
+    (k-2)(k-1)k an exact int that the division rounds to float once."""
+    pmf = {}
+    if r == 2:
+        for k in range(i + 1, n + 1):
+            pmf[k] = 2.0 * (i - 1) * i / ((k - 2) * (k - 1) * k)
+        pmf[n + 1] = i * (i - 1) / (n * (n - 1))
+    else:
+        for k in range(i + 1, n + 1):
+            if k == i + 1:
+                pmf[k] = 0.0
+            else:
+                pmf[k] = 2.0 * i * (k - i - 1) / ((k - 2) * (k - 1) * k)
+        pmf[n + 1] = (2.0 * n * i - i * i - i) / (n * (n - 1))
+    return pmf
 
 
 def payoff_from_pmf(k: int, r: int, n: int) -> float:
@@ -192,6 +212,29 @@ def write_table_out_rows(path, n: int) -> None:
             row.append(int(k > res.thresholds.k1))
             row.append(int(k > res.thresholds.k2) if k >= 2 else "")
             w.writerow(row)
+
+
+def write_pmf_rows(fh, i: int, r: int, n: int, as_csv: bool) -> None:
+    """Oracle for ``shelflife pmf``: a csv.writer row per k, or one json.dump of
+    the record with the pmf as a string-keyed dict, over ``duration_pmf_loop``."""
+    pmf = duration_pmf_loop(i, r, n)
+    survive = pmf.pop(n + 1)
+    if as_csv:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["k", "probability"])
+        for k in sorted(pmf):
+            w.writerow([k, repr(pmf[k])])
+        w.writerow(["survive", repr(survive)])
+    else:
+        record = {
+            "n": n,
+            "i": i,
+            "rank": r,
+            "pmf": {str(k): pmf[k] for k in sorted(pmf)},
+            "survive": survive,
+        }
+        json.dump(record, fh)
+        fh.write("\n")
 
 
 def generate_rank_sequence(n: int, rng: np.random.Generator) -> tuple:

@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
-from oracles import write_table_out_rows
+from oracles import write_pmf_rows, write_table_out_rows
 
 from shelflife import cli
 from shelflife.cli import main
@@ -71,7 +75,7 @@ class TestSolveCommand:
             assert float(cells[3]) == float(res.continuation[k])
             assert cells[4] == str(int(k > res.thresholds.k1))
 
-    @pytest.mark.parametrize("n", [2, 3, 10, 1000])
+    @pytest.mark.parametrize("n", [2, 3, 10, 1000, 20000])
     def test_table_out_bytes_match_row_writer(self, capsys, tmp_path, n):
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         code, _, _ = run_cli(["solve", "--n", str(n), "--table-out", str(new)], capsys)
@@ -115,6 +119,16 @@ class TestSolveCommand:
         )
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+    def test_failed_table_out_leaves_no_file(self, tmp_path):
+        path = tmp_path / "diag.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "shelflife", "solve", "--n", "1000000000000000",
+             "--table-out", str(path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2 and proc.stderr.startswith("error:")
+        assert not path.exists()
 
 
 class TestTableCommand:
@@ -225,6 +239,77 @@ class TestPmfCommand:
         with pytest.raises(SystemExit) as exc:
             main(["pmf", "--n", "5", "--i", "2", "--rank", "3"])
         assert exc.value.code == 2
+
+
+    @pytest.mark.parametrize("fmt", ["--json", "--csv"])
+    @pytest.mark.parametrize(
+        "n,r,i",
+        sorted({(n, r, i) for n in (2, 3, 10, 1000) for r in (1, 2) for i in (r, 2, n)}),
+    )
+    def test_bytes_match_record_writer(self, capsys, n, r, i, fmt):
+        code, out, err = run_cli(
+            ["pmf", "--n", str(n), "--i", str(i), "--rank", str(r), fmt], capsys
+        )
+        assert code == 0 and err == ""
+        old = io.StringIO()
+        write_pmf_rows(old, i, r, n, fmt == "--csv")
+        assert out == old.getvalue()
+
+    @pytest.mark.parametrize("as_csv", [False, True])
+    @pytest.mark.parametrize("i,r", [(1, 1), (2, 2), (9, 1), (10, 2)])
+    @pytest.mark.parametrize("rows", [1, 3, 8, 9])
+    def test_block_boundaries(self, rows, i, r, as_csv):
+        old = io.StringIO()
+        write_pmf_rows(old, i, r, 10, as_csv)
+        blocks = "".join(cli._pmf_blocks(i, r, 10, as_csv, rows=rows))
+        assert blocks == old.getvalue()
+
+    def test_memory_bounded_by_block(self):
+        argv = ["pmf", "--n", "1000000", "--i", "1", "--rank", "1"]
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 32 * 2**20
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_reuse_matches_fresh_parser(tmp_path, monkeypatch):
+    """One in-process sequence through main, with its one parser, gives what a
+    freshly built parser gives for each argv."""
+    def run_sequence(path):
+        return [_call(argv) for argv in (
+            ["pmf", "--n", "6", "--i", "3", "--rank", "1", "--csv"],
+            ["pmf", "--n", "6", "--i", "3", "--rank", "1"],
+            ["table", "--ns", "1,x"],
+            ["pmf", "--rank", "3"],
+            ["solve", "--n", "10", "--table-out", str(path)],
+            ["solve", "--n", "10"],
+            ["simulate", "--n", "20", "--trials", "100", "--seed", "1"],
+        )]
+
+    shared = run_sequence(tmp_path / "shared.csv")
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = run_sequence(tmp_path / "fresh.csv")
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 2, 2, 0, 0, 0]
+    assert shared[0][1].startswith("k,probability\n") and shared[1][1].startswith("{")
+    assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+    assert cli.build_parser() is not cli.build_parser()
 
 
 class TestAsymptoticCommand:

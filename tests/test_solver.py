@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    duration_pmf_loop,
     mean_operator_direct,
     payoff_fraction,
     payoff_from_pmf,
@@ -59,6 +60,10 @@ def permutation_duration_pmf(i, r, n):
     return {k: v / matched for k, v in counts.items()}
 
 
+def _bits(pmf):
+    return [(k, p.hex()) for k, p in pmf.items()]
+
+
 class TestDurationPmf:
     def test_second_best_small(self):
         assert duration_pmf(2, 2, 3) == pytest.approx({3: 2 / 3, 4: 1 / 3})
@@ -95,6 +100,28 @@ class TestDurationPmf:
         pmf = duration_pmf(i, r, n)
         assert abs(math.fsum(pmf.values()) - 1.0) <= 1e-12
         assert all(-1e-15 <= p <= 1.0 + 1e-15 for p in pmf.values())
+
+    def test_bits_match_loop_small_n(self):
+        for n in range(2, 61):
+            for i in range(1, n + 1):
+                for r in (1, 2)[:i]:
+                    assert _bits(duration_pmf(i, r, n)) == _bits(duration_pmf_loop(i, r, n))
+
+    @pytest.mark.parametrize("i", [1, 2, 3, 17, 500, 4999, 9998, 9999, 10000])
+    def test_bits_match_loop_1e4(self, i):
+        for r in (1, 2)[:i]:
+            assert _bits(duration_pmf(i, r, 10**4)) == _bits(duration_pmf_loop(i, r, 10**4))
+
+    # 2^21: the denominator (k-2)(k-1)k leaves int64; 94906267: the largest k
+    # with (k-2)(k-1) <= 2^53, where the array path changes branch; 2^27:
+    # (k-2)(k-1) passes 2^54, so a float64 triple product rounds twice
+    @pytest.mark.parametrize("k", [2**21, 94906267, 2**27])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_bits_match_loop_large_k(self, k, r):
+        for i, n in ((k - 1000, k + 1000), (k - 1000, k), (k, k + 1000)):
+            pmf = duration_pmf(i, r, n)
+            assert _bits(pmf) == _bits(duration_pmf_loop(i, r, n))
+            assert all(type(p) is float for p in pmf.values())
 
     def test_domain(self):
         with pytest.raises(ValueError):
