@@ -98,10 +98,11 @@ def _pmf_survive(i: int, r: int, n: int) -> float:
 def _pmf_block(i: int, r: int, lo: int, hi: int) -> np.ndarray:
     """:func:`duration_pmf` at k = lo..hi-1 (i < lo <= hi <= n + 1) as an array.
 
-    The denominator (k-2)(k-1)k is rounded to float once: up to 2^53 the pair
-    (k-2)(k-1) is exact in float64, beyond that the product is a Python int."""
+    The denominator (k-2)(k-1)k is rounded to float once: up to k = 94906267
+    the pair (k-2)(k-1) <= 2^53 is exact in float64; beyond, the product is a
+    Python int."""
     k = np.arange(lo, hi)
-    if (hi - 3) * (hi - 2) <= 2**53:
+    if hi <= 94906268:
         den = ((k - 2) * (k - 1)).astype(np.float64) * k
     else:
         den = np.array([float((j - 2) * (j - 1) * j) for j in range(lo, hi)])
