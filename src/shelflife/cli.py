@@ -4,11 +4,10 @@ JSON (default) carries full float precision with a stable key order; CSV is
 RFC-4180-style with a header row and LF line endings.  The `table` subcommand
 renders the summary table at fixed 6 decimals (round-half-even) so its output
 is byte-stable; everything else serializes floats at full repr precision.
-The per-k output (`pmf` and the --table-out file) is written in blocks of
-rows, so its text is never held whole and `pmf` holds one block of values at
-a time.  Checks and array builds come before the first byte, so a bad
+The per-k output (`pmf`, --table-out) is written in blocks of rows, never
+held whole.  Checks and array builds come before the first byte, so a bad
 argument or an array too large to build leaves no output and no file.
-`main` builds its parser on its first call and reuses it.
+`main` builds one parser, on its first call, and reuses it.
 
 Exit codes: 0 success, 2 usage/domain, file I/O or out-of-memory error (an
 array too large to allocate, such as --table-out at n = 10^15), 3 numeric

@@ -240,7 +240,6 @@ class TestPmfCommand:
             main(["pmf", "--n", "5", "--i", "2", "--rank", "3"])
         assert exc.value.code == 2
 
-
     @pytest.mark.parametrize("fmt", ["--json", "--csv"])
     @pytest.mark.parametrize(
         "n,r,i",
