@@ -42,57 +42,57 @@ def _emit_record(record, as_csv):
         sys.stdout.write(json.dumps(record) + "\n")
 
 
-def _blocks(head, columns, lo, hi, tail, sep=",", eol="\n", rows=1 << 16):
-    """Yield head, then rows lo..hi-1 in blocks of `rows`, then tail.
+def _blocks(head, lines, lo, hi, tail, eol="\n", rows=1 << 16):
+    """Yield head, then the lines for k = lo..hi-1 separated by eol, then tail.
 
-    Each column maps the bounds (a, b) of a block to its b - a cells as
-    strings; a row joins its cells with sep, and eol separates rows.  No
-    field needs quoting, so for CSV this gives what csv.writer would."""
+    lines(a, b) gives the lines for k = a..b-1; they are built `rows` at a
+    time, so the text is never held whole."""
     yield head
     for a in range(lo, hi, rows):
-        b = min(a + rows, hi)
-        block = eol.join(map(sep.join, zip(*(col(a, b) for col in columns))))
+        block = eol.join(lines(a, min(a + rows, hi)))
         yield block if a == lo else eol + block
     yield tail
 
 
-def _ints(a, b):
-    return map(str, range(a, b))
-
-
-def _floats(x):
-    return lambda a, b: map(repr, x[a:b].tolist())
-
-
-def _steps(t):
-    """The column int(k > t): a "0" for each k <= t, then "1"s."""
-    return lambda a, b: ("0" * min(max(t + 1 - a, 0), b - a)
-                         + "1" * min(max(b - 1 - t, 0), b - a))
+def _steps(t, a, b):
+    """int(k > t) for k = a..b-1, one character each."""
+    c = min(max(t + 1 - a, 0), b - a)
+    return "0" * c + "1" * (b - a - c)
 
 
 def _table_out_blocks(res, n, rows=1 << 16):
-    """The --table-out CSV; every array it reads is built before this returns."""
+    """The --table-out CSV; every array it reads is built before this returns.
+
+    No field needs quoting, so plain formatting gives what csv.writer would."""
     phi1, phi2, _ = solver._payoff_tables(n)
     k1, k2 = res.thresholds
     cont = res.continuation
+    row = "{},{!r},{!r},{!r},{},{}".format
+
+    def lines(a, b):
+        return map(row, range(a, b), phi1[a:b].tolist(), phi2[a:b].tolist(),
+                   cont[a:b].tolist(), _steps(k1, a, b), _steps(k2, a, b))
+
     # rank 2 does not exist at time 1
     head = ("k,phi1,phi2,continuation,stop1,stop2\n"
             f"1,{float(phi1[1])!r},,{float(cont[1])!r},{int(1 > k1)},\n")
-    columns = (_ints, _floats(phi1), _floats(phi2), _floats(cont), _steps(k1), _steps(k2))
-    return _blocks(head, columns, 2, n + 1, "\n", rows=rows)
+    return _blocks(head, lines, 2, n + 1, "\n", rows=rows)
 
 
 def _pmf_blocks(i, r, n, as_csv, rows=1 << 16):
     """The pmf command's output; the arguments are checked before this returns."""
     survive = solver._pmf_survive(i, r, n)
-    probs = lambda a, b: map(repr, solver._pmf_block(i, r, a, b).tolist())
+    row = ("{},{!r}" if as_csv else '"{}": {!r}').format
+
+    def lines(a, b):
+        return map(row, range(a, b), solver._pmf_block(i, r, a, b).tolist())
+
     if as_csv:
         tail = "\n" * (i < n) + f"survive,{survive!r}\n"
-        return _blocks("k,probability\n", (_ints, probs), i + 1, n + 1, tail, rows=rows)
+        return _blocks("k,probability\n", lines, i + 1, n + 1, tail, rows=rows)
     head = f'{{"n": {n}, "i": {i}, "rank": {r}, "pmf": {{'
-    keys = lambda a, b: map('"{}"'.format, range(a, b))
-    return _blocks(head, (keys, probs), i + 1, n + 1, f'}}, "survive": {survive!r}}}\n',
-                   sep=": ", eol=", ", rows=rows)
+    tail = f'}}, "survive": {survive!r}}}\n'
+    return _blocks(head, lines, i + 1, n + 1, tail, eol=", ", rows=rows)
 
 
 def cmd_solve(args):
