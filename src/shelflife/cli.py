@@ -61,27 +61,27 @@ def _steps(t, a, b):
 
 
 def _table_out_blocks(res, n, rows=1 << 16):
-    """The --table-out CSV; every array it reads is built before this returns.
+    """The --table-out CSV; only the continuation is built before this returns.
 
     No field needs quoting, so plain formatting gives what csv.writer would."""
-    phi1, phi2, _ = solver._payoff_tables(n)
     k1, k2 = res.thresholds
     cont = res.continuation
     row = "{},{!r},{!r},{!r},{},{}".format
 
     def lines(a, b):
-        return map(row, range(a, b), phi1[a:b].tolist(), phi2[a:b].tolist(),
+        phi1, phi2 = solver._payoff_block(a, b, n)
+        return map(row, range(a, b), phi1.tolist(), phi2.tolist(),
                    cont[a:b].tolist(), _steps(k1, a, b), _steps(k2, a, b))
 
     # rank 2 does not exist at time 1
     head = ("k,phi1,phi2,continuation,stop1,stop2\n"
-            f"1,{float(phi1[1])!r},,{float(cont[1])!r},{int(1 > k1)},\n")
+            f"1,{solver.payoff(1, 1, n)!r},,{float(cont[1])!r},{int(1 > k1)},\n")
     return _blocks(head, lines, 2, n + 1, "\n", rows=rows)
 
 
 def _pmf_blocks(i, r, n, as_csv, rows=1 << 16):
     """The pmf command's output; the arguments are checked before this returns."""
-    survive = solver._pmf_survive(i, r, n)
+    i, n, survive = solver._pmf_survive(i, r, n)
     row = ("{},{!r}" if as_csv else '"{}": {!r}').format
 
     def lines(a, b):

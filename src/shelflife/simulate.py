@@ -158,10 +158,10 @@ def monte_carlo(n: int, policy, trials: int, seed: int) -> McEstimate:
     Deterministic for fixed (seed, trials) independent of thread count; see
     the module docstring for the substream layout.
     """
-    _check_int(n, "n", 2)
+    n = _check_int(n, "n", 2)
     k1, k2 = _check_policy(policy, n)
-    _check_int(trials, "trials", 1)
-    _check_int(seed, "seed", 0, 2**64 - 1)
+    trials = _check_int(trials, "trials", 1)
+    seed = _check_int(seed, "seed", 0, 2**64 - 1)
     threads = _threads()
 
     def run_block(start):
@@ -198,8 +198,8 @@ def exhaustive_policy_value(policy, n: int) -> float:
     total / (n * n!) is the exact value correctly rounded.  n is limited to
     2..10.
     """
-    _check_int(n, "n", 2, 10)
-    _check_policy(policy, n)
+    n = _check_int(n, "n", 2, 10)
+    policy = _check_policy(policy, n)
     total = 0
     for seq in itertools.product((1,), (1, 2), *[(1, 2, 3)] * (n - 2)):
         out = realized_outcome(seq, policy)

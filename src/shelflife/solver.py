@@ -5,22 +5,23 @@ independent and uniform on {1..k}.  An item is a *candidate* while it is
 relatively best or second best.  Selecting a candidate at time k earns the
 normalized duration (T - k)/n, where T is the first time the selection drops
 out of the top two (n+1 if it never does).  This module provides the duration
-distributions, the stop payoff, the embedded-chain transition law, the
-backward-induction solver and the two-threshold closed forms.
+distributions, the stop payoffs and mean operator (closed forms in psi(n) -
+psi(k), built a block of k at a time and never cached), the embedded-chain
+transition law, the backward-induction solver and the two-threshold closed forms.
 
 State (k, r) means: item k is relatively r-th best among the first k, with
 r in {1, 2}.  A threshold pair (k1, k2) stops at (k, 1) iff k > k1 and at
 (k, 2) iff k > k2.
 """
 
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from ._validate import _check_horizon, _check_int, _check_policy, _check_time
 from .asymptotic import asymptotic_solution
-from .special import _psi_exact, harmonic_diff, trigamma_diff
+from .special import _harmonic_block, _psi_exact, harmonic_diff, trigamma_diff
 
 # The limits a and b of k1/n and k2/n, where the threshold searches start.
 _A_LIMIT, _B_LIMIT, _ = asymptotic_solution()
@@ -48,51 +49,41 @@ class SolveResult:
 
     @cached_property
     def continuation(self):
-        phi1, _, M = _payoff_tables(self._n)
-        cont = _continuation(phi1, M, self._k2, self._n)
+        cont = _continuation(self._k2, self._n)
         cont[1 : self.thresholds.k1 + 2] = self.value
         return cont
 
     @cached_property
     def state_values(self):
-        phi1, phi2, _ = _payoff_tables(self._n)
+        phi1, phi2 = _payoff_block(1, self._n + 1, self._n)
         cont = self.continuation
         state_values = np.full((3, self._n + 1), np.nan)
-        state_values[1, 1:] = np.maximum(phi1[1:], cont[2:])
-        state_values[2, 2:] = np.maximum(phi2[2:], cont[3:])
+        state_values[1, 1:] = np.maximum(phi1, cont[2:])
+        state_values[2, 2:] = np.maximum(phi2[1:], cont[3:])
         return state_values
 
 
-# Point queries (payoff, mean_operator, --table-out) hit one horizon at a time,
-# and one entry holds about 24 MB at n = 10^6, so keep only a few.  The
-# harmonic tail H[k] = sum_{j=k}^{n-1} 1/j is needed only to build phi1 and M.
-@lru_cache(maxsize=8)
-def _payoff_tables(n: int):
-    """(phi1, phi2, M) over k = 0..n: phi_r[k] = payoff(k, r, n) and
-    M[k] = mean_operator(k, n) (index 0 unused)."""
-    H = np.zeros(n + 1)
-    H[1:n] = np.cumsum(1.0 / np.arange(n - 1, 0, -1.0))[::-1]
-    k = np.arange(0, n + 1, dtype=np.float64)
-    phi1 = (k / n**2) * (1.0 + k - n + 2.0 * n * H)
+def _payoff_block(lo: int, hi: int, n: int):
+    """(phi1, phi2) at k = lo..hi-1, 1 <= lo <= hi <= n + 1: phi_r[k - lo] =
+    payoff(k, r, n), and phi1 - phi2 = mean_operator(k, n).  Each entry is a
+    function of k and n alone, so a block of one row gives every cell of a
+    longer block bit for bit."""
+    k = np.arange(lo, hi, dtype=np.float64)
+    phi1 = (k / n**2) * (1.0 + k - n + 2.0 * n * _harmonic_block(k, n))
     phi2 = k * (n - k + 1.0) / n**2
-    # M = 2(x^2 - x + xH) with x = k/n, built in the memory of k and H so
-    # that the build never holds more than five arrays
-    x = np.divide(k, n, out=k)
-    M = 2.0 * (x * x - x + np.multiply(x, H, out=H))
-    return phi1, phi2, M
+    return phi1, phi2
 
 
-def _pmf_survive(i: int, r: int, n: int) -> float:
-    """Check (i, r, n) as duration_pmf does; return the mass of key n + 1."""
-    _check_horizon(n)
-    _check_time(i, n, "i")
+def _pmf_survive(i: int, r: int, n: int):
+    """Check (i, r, n) as duration_pmf does; return i, n as ints and the mass of key n + 1."""
+    n = _check_horizon(n)
+    i = _check_time(i, n, "i")
     if r not in (1, 2):
         raise ValueError(f"rank must be 1 or 2, got {r}")
     if r > i:
         raise ValueError(f"rank {r} impossible at time {i}")
-    if r == 2:
-        return i * (i - 1) / (n * (n - 1))
-    return (2.0 * n * i - i * i - i) / (n * (n - 1))
+    num = i * (i - 1) if r == 2 else 2.0 * n * i - i * i - i
+    return i, n, num / (n * (n - 1))
 
 
 def _pmf_block(i: int, r: int, lo: int, hi: int) -> np.ndarray:
@@ -120,7 +111,7 @@ def duration_pmf(i: int, r: int, n: int) -> dict:
     overtaken by a new best and only the next candidate after that ends its
     candidacy -- so the i+1 entry is exactly 0 for r=1.
     """
-    survive = _pmf_survive(i, r, n)
+    i, n, survive = _pmf_survive(i, r, n)
     values = np.append(_pmf_block(i, r, i + 1, n + 1), survive)
     return dict(zip(range(i + 1, n + 2), values.tolist()))
 
@@ -131,14 +122,13 @@ def payoff(k: int, r: int, n: int) -> float:
     phi(k, 1) = (k/n^2)(1 + k - n + 2n(psi(n) - psi(k))),
     phi(k, 2) = k(n - k + 1)/n^2, and 0 for any rank beyond the candidate set.
     """
-    _check_horizon(n)
-    _check_time(k, n)
+    n = _check_horizon(n)
+    k = _check_time(k, n)
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {r}")
     if r > 2:
         return 0.0
-    phi1, phi2, _ = _payoff_tables(n)
-    return float(phi1[k] if r == 1 else phi2[k])
+    return float(_payoff_block(k, k + 1, n)[r - 1][0])
 
 
 def transition_prob(k: int, s: Optional[int], n: int) -> float:
@@ -150,11 +140,11 @@ def transition_prob(k: int, s: Optional[int], n: int) -> float:
     mass: no further candidate by n, which telescopes to k(k-1)/(n(n-1)).
     Rows normalize as 2*sum_s p(k, s) + p(k, None) = 1.
     """
-    _check_horizon(n)
-    if not 2 <= k <= n:
-        raise ValueError(f"k must be in 2..{n}, got {k}")
+    n = _check_horizon(n)
+    k = _check_int(k, "k", 2, n)
     if s is None:
         return k * (k - 1) / (n * (n - 1))
+    s = _check_int(s, "s")
     if not k < s <= n:
         raise ValueError(f"s must be in {k + 1}..{n} or None, got {s}")
     return k * (k - 1) / (s * (s - 1) * (s - 2))
@@ -167,28 +157,29 @@ def mean_operator(k: int, n: int) -> float:
     because the transition law does not depend on the current rank.  Valid
     from k = 1 (the direct-sum oracle needs k >= 2).
     """
-    _check_horizon(n)
-    _check_time(k, n)
-    return float(_payoff_tables(n)[2][k])
+    n = _check_horizon(n)
+    k = _check_time(k, n)
+    phi1, phi2 = _payoff_block(k, k + 1, n)
+    return float(phi1[0] - phi2[0])
 
 
-def _continuation(phi1, M, k2, n):
+def _continuation(k2, n):
     """w~(k) for k = 2..n+1 (entries 0 and 1 unused) under the pair (0, k2).
     From k1 + 1 on it is also w~ under any (k1, k2); below, that w~ is flat.
 
     The recursion w~(k) = [v1 + v2 + (k-2) w~(k+1)]/k is linear in each stop
     region:
       all-stop, k > max(k2, 1): passing at k-1 and stopping at the next
-        candidate, so w~(k) = M(k-1), copied from the table (M(n) = 0);
+        candidate, so w~(k) = M(k-1) = phi1 - phi2 at k-1 (M(n) = 0);
       rank-1 only, 2 <= k <= k2: w~(k)/(k-1) sums phi1/(k(k-1)) on top of
         w~(k2+1)/k2.
     """
     cont = np.zeros(n + 2)
     lo = max(k2, 1) + 1
-    cont[lo:] = M[lo - 1 :]
+    np.subtract(*_payoff_block(lo - 1, n + 1, n), out=cont[lo:])
     if k2 >= 2:
         k = np.arange(2, k2 + 1, dtype=np.float64)
-        tail = phi1[2 : k2 + 1] / (k * (k - 1.0))
+        tail = _payoff_block(2, k2 + 1, n)[0] / (k * (k - 1.0))
         cont[2 : k2 + 1] = (np.cumsum(tail[::-1])[::-1] + cont[k2 + 1] / k2) * (k - 1.0)
     return cont
 
@@ -258,8 +249,7 @@ def solve(n: int) -> SolveResult:
     consults k2, so it is reported canonically as (0, 0).  Ties between
     stopping and continuing are resolved by stopping.
     """
-    _check_horizon(n)
-    n = int(n)
+    n = _check_horizon(n)
     k2 = _last_true(_rank2_continues(n), 2, n, int(_B_LIMIT * n))
     k1 = _last_true(_rank1_continues(k2, n), 1, k2 - 1, int(_A_LIMIT * n))
     thresholds = PolicyThresholds(k1, k2 if k1 else 0)
@@ -270,7 +260,7 @@ def policy_value(policy, n: int) -> float:
     """Exact value of an arbitrary threshold pair (k1, k2): payoff(1, 1, n)
     when k1 = 0 (stop at once), mean_operator(k1, n) when k1 = k2 (stop at
     the next candidate), and the closed form v~(k1, k2) otherwise."""
-    _check_horizon(n)
+    n = _check_horizon(n)
     k1, k2 = _check_policy(policy, n)
     if k1 == 0:
         return payoff(1, 1, n)
@@ -293,9 +283,9 @@ def closed_form_value(k1: int, k2: int, n: int) -> float:
     continuation value is flat below k1 and the tail honors Tphi = w~ in the
     all-stop region).
     """
-    _check_horizon(n)
-    _check_int(k1, "k1")
-    _check_int(k2, "k2")
+    n = _check_horizon(n)
+    k1 = _check_int(k1, "k1")
+    k2 = _check_int(k2, "k2")
     if not 1 <= k1 < k2 <= n:
         raise ValueError(f"need 1 <= k1 < k2 <= n, got ({k1}, {k2}) with n={n}")
     D = harmonic_diff(k1, k2)

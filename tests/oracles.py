@@ -24,15 +24,22 @@ from shelflife.simulate import realized_outcome
 from shelflife.solver import (
     PolicyThresholds,
     _continuation,
-    _payoff_tables,
+    _payoff_block,
     duration_pmf,
     payoff,
     solve,
 )
 
 
+def payoff_tables(n):
+    """(phi1, phi2, M) over k = 0..n (index 0 unused) from the solver's
+    payoff kernel in one block, with M = phi1 - phi2."""
+    phi1, phi2 = (np.append(0.0, phi) for phi in _payoff_block(1, n + 1, n))
+    return phi1, phi2, phi1 - phi2
+
+
 def _payoff_lists(n):
-    phi1, phi2, _ = _payoff_tables(n)
+    phi1, phi2, _ = payoff_tables(n)
     return phi1.tolist(), phi2.tolist()
 
 
@@ -131,12 +138,11 @@ def solve_scan(n: int) -> PolicyThresholds:
     """Oracle for ``solve``'s threshold search: each threshold read off the
     full tables as the last k where continuing is strictly better, k2 against
     the mean operator and k1 against one continuation pass that stops only on
-    rank 1 up to k2.  The tables bypass the solver's cache, so a large n
-    leaves nothing behind."""
+    rank 1 up to k2."""
     _check_horizon(n)
-    phi1, phi2, M = _payoff_tables.__wrapped__(n)
+    phi1, phi2, M = payoff_tables(n)
     k2 = _last_below(phi2, M, 2, n)
-    cont = _continuation(phi1, M, k2, n)
+    cont = _continuation(k2, n)
     k1 = _last_below(phi1, cont[1:], 1, k2)
     return PolicyThresholds(k1, k2 if k1 else 0)
 

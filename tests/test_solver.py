@@ -14,6 +14,7 @@ from oracles import (
     mean_operator_direct,
     payoff_fraction,
     payoff_from_pmf,
+    payoff_tables,
     policy_value_fraction,
     policy_value_loop,
     solve_loop,
@@ -21,10 +22,12 @@ from oracles import (
 )
 
 from shelflife.cli import TABLE_NS
+from shelflife.simulate import exhaustive_policy_value, monte_carlo
 from shelflife.solver import (
     PolicyThresholds,
+    SolveResult,
     _last_true,
-    _payoff_tables,
+    _payoff_block,
     _rank1_continues,
     _rank2_continues,
     closed_form_value,
@@ -35,6 +38,7 @@ from shelflife.solver import (
     solve,
     transition_prob,
 )
+from shelflife.special import harmonic_diff, trigamma_diff
 
 
 def permutation_duration_pmf(i, r, n):
@@ -364,7 +368,7 @@ class TestBackwardInductionKernel:
         # phi_r(k) < w~(k+1) exactly for k <= k_r: the single crossing that
         # lets each stop region be summed in one pass
         res = solve(n)
-        phi1, phi2, _ = _payoff_tables(n)
+        phi1, phi2, _ = payoff_tables(n)
         k = np.arange(n + 1)
         nxt = res.continuation[1:]
         for r, phi in ((1, phi1), (2, phi2)):
@@ -427,6 +431,111 @@ def mp_closed_form(k1, k2, n):
     Q = mpmath.polygamma(1, k1) - mpmath.polygamma(1, k2)
     head = (k1 / n**2) * ((2 - n) * D + (k2 - k1) + n * (D * D - Q) + 2 * n * D * E)
     return head + 2 * k1 * k2 / n**2 - 2 * k1 / n + (2 * k1 / n) * E
+
+
+def mp_phi1(k, n):
+    """payoff(k, 1, n)'s closed form in mpmath at the working precision."""
+    x = mpmath.mpf(k) / n
+    return x / n * (1 + k - n + 2 * n * (mpmath.digamma(n) - mpmath.digamma(k)))
+
+
+def mp_mean_operator(k, n):
+    """mean_operator(k, n)'s closed form in mpmath at the working precision."""
+    x = mpmath.mpf(k) / n
+    return 2 * (x * x - x + x * (mpmath.digamma(n) - mpmath.digamma(k)))
+
+
+class TestPayoffBlock:
+    """The payoff kernel behind payoff, mean_operator, the solver's arrays and
+    --table-out: each cell a function of (k, n) alone, so a one-row block, a
+    whole-horizon block and any split of k into blocks give the same bits."""
+
+    @pytest.mark.parametrize("n", [2, 3, 31, 32, 33, 1000, 70000])
+    def test_one_row_and_split_blocks_are_bit_identical(self, n):
+        phi1, phi2 = _payoff_block(1, n + 1, n)
+        rng = np.random.default_rng(n)
+        cuts = sorted({1, n + 1, *range(1, n + 1, 1 << 16), *rng.integers(1, n + 2, 20).tolist()})
+        parts = [_payoff_block(a, b, n) for a, b in zip(cuts, cuts[1:])]
+        for r, whole in ((0, phi1), (1, phi2)):
+            assert np.concatenate([p[r] for p in parts]).tobytes() == whole.tobytes(), (r, cuts)
+        ks = range(1, n + 1)
+        if n > 1000:  # the edges, the block boundary at 65,536 rows and a sample
+            ks = sorted({*range(1, 41), *range(n - 40, n + 1), 65535, 65536, 65537,
+                         *rng.integers(1, n + 1, 500).tolist()})
+        for k in ks:
+            one1, one2 = _payoff_block(k, k + 1, n)
+            assert (one1.tobytes(), one2.tobytes()) == (phi1[k - 1 : k].tobytes(),
+                                                        phi2[k - 1 : k].tobytes()), k
+            assert payoff(k, 1, n) == phi1[k - 1], k
+            assert payoff(k, 2, n) == phi2[k - 1], k
+            assert mean_operator(k, n) == phi1[k - 1] - phi2[k - 1], k
+
+    def test_against_40_digits(self):
+        n = 10**6
+        rng = np.random.default_rng(20261018)
+        ks = [1, 2, 3, 31, 32, 33, 1000, n - 32, n - 31, n - 1, n]
+        with mpmath.workdps(40):
+            for k in ks + rng.integers(1, n + 1, 200).tolist():
+                phi1 = mp_phi1(k, n)
+                assert abs(payoff(k, 1, n) - phi1) <= 2e-15 * phi1, k
+                assert abs(mean_operator(k, n) - mp_mean_operator(k, n)) <= 1e-15, k
+
+    def test_point_queries_at_1e15(self):
+        n = 10**15
+        with mpmath.workdps(40):
+            for got, want in [(payoff(1, 1, n), mp_phi1(1, n)),
+                              (mean_operator(7, n), mp_mean_operator(7, n)),
+                              (policy_value((5, 5), n), mp_mean_operator(5, n)),
+                              (policy_value((0, 0), n), mp_phi1(1, n))]:
+                assert math.isfinite(got) and abs(got - want) <= 2e-15 * want, (got, want)
+
+    def test_point_queries_keep_nothing(self):
+        tracemalloc.start()
+        try:
+            for n in range(10**6, 10**6 + 8):
+                payoff(3, 1, n), payoff(400000, 2, n), mean_operator(5, n)
+                policy_value((5, 5), n), policy_value((0, 0), n)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 1e6 and peak < 1e6
+
+
+def _as_int64(x):
+    if isinstance(x, tuple):
+        return tuple(map(_as_int64, x))
+    return x if x is None else np.int64(x)
+
+
+class TestNumpyIntegerArguments:
+    """Integer arguments are taken as Python ints, so a numpy int64 gives the
+    same result as an int even where products of the horizon pass 2^63."""
+
+    N = 5 * 10**9
+
+    @pytest.mark.parametrize("fn, args", [
+        (payoff, (4 * 10**9, 1, N)),
+        (payoff, (4 * 10**9, 2, N)),
+        (mean_operator, (4 * 10**9, N)),
+        (transition_prob, (4 * 10**9, None, N)),
+        (transition_prob, (4 * 10**9, 4 * 10**9 + 7, N)),
+        (duration_pmf, (N - 40, 1, N)),
+        (duration_pmf, (N - 40, 2, N)),
+        (policy_value, ((601906533, 2085941780), N)),
+        (policy_value, ((5, 5), N)),
+        (policy_value, ((0, 0), N)),
+        (closed_form_value, (601906533, 2085941780, N)),
+        (solve, (N,)),
+        (harmonic_diff, (4 * 10**9, N)),
+        (trigamma_diff, (4 * 10**9, N)),
+        (monte_carlo, (N, (601906533, 2085941780), 1000, 7)),
+        (exhaustive_policy_value, ((1, 4), 10)),
+    ], ids=lambda v: v.__name__ if callable(v) else repr(v))
+    def test_same_result_as_python_int(self, fn, args):
+        got, want = fn(*_as_int64(args)), fn(*args)
+        if isinstance(want, SolveResult):
+            got, want = (got.thresholds, got.value), (want.thresholds, want.value)
+        assert got == want
 
 
 class TestValueAccuracy:

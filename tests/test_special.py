@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shelflife.solver import closed_form_value
-from shelflife.special import harmonic_diff, lambert_w0, trigamma_diff
+from shelflife.special import _harmonic_block, harmonic_diff, lambert_w0, trigamma_diff
 
 # Benchmark-scale arguments: the optimal thresholds near 10^6 and full-range sums.
 LARGE_PAIRS = [(1, 10**6), (120381, 417188), (406000, 975000), (1000, 999999),
@@ -123,6 +123,16 @@ class TestSeriesAgainstMpmath:
         with mpmath.workdps(50):
             expected = float(mpmath.digamma(n) - mpmath.digamma(k))
         assert abs(harmonic_diff(k, n) - expected) <= 2 * math.ulp(expected)
+
+    @pytest.mark.parametrize("k, n", SWITCH_PAIRS + HUGE_PAIRS)
+    def test_harmonic_block_within_2_ulp(self, k, n):
+        """The elementwise series, also where harmonic_diff sums exactly
+        (n - k < 32); the empty range at k = n is +0.0."""
+        with mpmath.workdps(50):
+            expected = float(mpmath.digamma(n) - mpmath.digamma(k))
+        got, empty = _harmonic_block(np.array([k, n], dtype=np.float64), n).tolist()
+        assert abs(got - expected) <= 2 * math.ulp(expected)
+        assert math.copysign(1.0, empty) == 1.0 and empty == 0.0
 
     @pytest.mark.parametrize("k, s", SWITCH_PAIRS + HUGE_PAIRS)
     def test_trigamma_diff_within_1e_16(self, k, s):
