@@ -2,27 +2,20 @@
 
 Select a relatively best or second-best item from a random sequence so that it
 stays in the top two as long as possible.  The package provides the exact
-finite-horizon solver (optimal two-threshold policies), a simulator with an
-exhaustive small-case oracle, the infinite-horizon constants, and a CLI.
+solver for horizons 2..10**154 (optimal two-threshold policies), a seeded
+simulator with an exhaustive small-case oracle, the limit constants and a CLI.
 """
 
 from .asymptotic import (
     AsymptoticSolution,
     asymptotic_solution,
-    asymptotic_value,
     limit_value_function,
     mean_operator_limit,
     phi_limit,
     solve_a,
     solve_b,
 )
-from .simulate import (
-    McEstimate,
-    TrialOutcome,
-    exhaustive_policy_value,
-    monte_carlo,
-    realized_outcome,
-)
+from .simulate import McEstimate, exhaustive_policy_value, monte_carlo
 from .solver import (
     PolicyThresholds,
     SolveResult,

@@ -7,6 +7,8 @@ arithmetic on them cannot wrap around as fixed-width numpy integers do.
 
 import numpy as np
 
+MAX_HORIZON = 10**154  # the closed forms take 1/n**2; n * n overflows a float from 1.34e154
+
 
 def _check_int(x, name, lo=None, hi=None):
     """x as a Python int; reject anything but a non-bool integer in lo..hi (hi optional)."""
@@ -21,7 +23,10 @@ def _check_int(x, name, lo=None, hi=None):
 
 
 def _check_horizon(n):
-    return _check_int(n, "horizon", 2)
+    n = _check_int(n, "horizon", 2)
+    if n > MAX_HORIZON:
+        raise ValueError(f"horizon must be at most 10**154, got a {len(str(n))}-digit number")
+    return n
 
 
 def _check_time(k, n, name="k"):

@@ -98,13 +98,8 @@ def solve_a(b: float) -> float:
     raise ArithmeticError(f"root finding for a did not converge for b={b}")
 
 
-def asymptotic_value() -> float:
-    """Limit normalized value ~ 0.403827."""
-    return asymptotic_solution().value
-
-
 def asymptotic_solution() -> AsymptoticSolution:
-    """All three limit constants (a, b, value) in one call."""
+    """All three limit constants (a, b, value ~ 0.403827) in one call."""
     b = solve_b()
     a = solve_a(b)
     return AsymptoticSolution(a=a, b=b, value=limit_value_function(a, b))

@@ -4,8 +4,8 @@ The relative ranks Y_k are independent with Y_k uniform on {1..k}, so from
 time t the next rank-1 arrival R and the next candidate C (rank 1 or 2) obey
 P(R > s) = t/s and P(C > s) = t(t-1)/(s(s-1)), and each is one inverted
 uniform.  A trial jumps between these epochs on five uniforms (see
-`_payoffs`), so it costs O(1) whatever the horizon.  `realized_outcome`
-traces an explicit rank sequence instead and backs the exhaustive oracle.
+`_payoffs`), so it costs O(1) whatever the horizon.  The exhaustive oracle
+`exhaustive_policy_value` traces one rank sequence per class instead.
 
 PRNG: numpy Philox (counter-based).  Trials are drawn in fixed blocks of
 ``BLOCK`` trials; block b uses the substream keyed by (seed, b*BLOCK) and
@@ -19,7 +19,7 @@ import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,60 +28,11 @@ from ._validate import _check_int, _check_policy
 BLOCK = 32768
 
 
-class TrialOutcome(NamedTuple):
-    """One trial: where the policy stopped and how long the selection lasted."""
-
-    stop_time: Optional[int]
-    stop_rank: Optional[int]
-    end_time: Optional[int]
-    normalized_payoff: float
-
-
 class McEstimate(NamedTuple):
     mean: float
     std_error: float
     trials: int
     seed: int
-
-
-def realized_outcome(seq, policy) -> TrialOutcome:
-    """Trace one rank sequence under a threshold policy.
-
-    The policy stops at the first k with (y_k = 1 and k > k1) or (y_k = 2 and
-    k > k2).  A second-best selection leaves the top two at the next arrival
-    with rank in {1, 2}.  A best selection survives until a new best appears
-    (it is then relatively second) and leaves at the next {1, 2} arrival after
-    that.  end_time is n+1 when the selection stays in the top two throughout;
-    a policy that never stops earns 0.
-    """
-    k1, k2 = policy
-    n = len(seq)
-    stop = 0
-    for t in range(1, n + 1):
-        y = seq[t - 1]
-        if (y == 1 and t > k1) or (y == 2 and t > k2):
-            stop = t
-            break
-    if stop == 0:
-        return TrialOutcome(None, None, None, 0.0)
-    end = n + 1
-    if seq[stop - 1] == 2:
-        for t in range(stop + 1, n + 1):
-            if seq[t - 1] <= 2:
-                end = t
-                break
-    else:
-        s = 0
-        for t in range(stop + 1, n + 1):
-            if seq[t - 1] == 1:
-                s = t
-                break
-        if s:
-            for t in range(s + 1, n + 1):
-                if seq[t - 1] <= 2:
-                    end = t
-                    break
-    return TrialOutcome(stop, seq[stop - 1], end, (end - stop) / n)
 
 
 def _next_best(t, u):
@@ -149,7 +100,7 @@ def _threads():
     raw = os.environ.get("DURATION_SOLVER_THREADS", "1")
     if not (raw.isascii() and raw.isdigit() and int(raw) >= 1):
         raise ValueError(f"DURATION_SOLVER_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
+    return min(int(raw), os.cpu_count() or 1)  # pool.map starts a thread per block
 
 
 def monte_carlo(n: int, policy, trials: int, seed: int) -> McEstimate:
@@ -192,18 +143,25 @@ def exhaustive_policy_value(policy, n: int) -> float:
     A threshold policy and the end of its candidacy read y_k only through
     min(y_k, 3), so the sequences fall into 2*3**(n-2) classes: y_1 = 1,
     y_2 in {1, 2} and y_k in {1, 2, 3} for k >= 3, where 3 stands for the
-    k - 2 ranks above 2.  Each class is traced once by `realized_outcome` and
-    counts prod(k - 2) over its 3-positions of the n! equally likely
-    sequences.  The durations are summed as integers, so the result
-    total / (n * n!) is the exact value correctly rounded.  n is limited to
-    2..10.
+    k - 2 ranks above 2.  Each class is traced once and counts prod(k - 2)
+    over its 3-positions of the n! equally likely sequences.  The durations
+    are summed as integers, so the result total / (n * n!) is the exact
+    value correctly rounded.  n is limited to 2..10.
     """
     n = _check_int(n, "n", 2, 10)
-    policy = _check_policy(policy, n)
+    k1, k2 = _check_policy(policy, n)
     total = 0
     for seq in itertools.product((1,), (1, 2), *[(1, 2, 3)] * (n - 2)):
-        out = realized_outcome(seq, policy)
-        if out.stop_time is not None:
-            weight = math.prod(k - 2 for k, y in enumerate(seq, 1) if y == 3)
-            total += weight * (out.end_time - out.stop_time)
+        for stop, y in enumerate(seq, 1):
+            if (y == 1 and stop > k1) or (y == 2 and stop > k2):
+                break
+        else:
+            continue  # never stops: earns 0
+        end = stop
+        for top in range(y, 3):  # a best item is first overtaken by a y = 1
+            end += 1
+            while end <= n and seq[end - 1] > top:
+                end += 1
+        weight = math.prod(k - 2 for k, y in enumerate(seq, 1) if y == 3)
+        total += weight * (min(end, n + 1) - stop)
     return total / (n * math.factorial(n))

@@ -63,13 +63,18 @@ class SolveResult:
         return state_values
 
 
+def _phi1(k, n, H):
+    """phi(k, 1) = (k/n^2)(1 + k - n + 2nH), H = psi(n) - psi(k); scalars or arrays."""
+    return (k / n**2) * (1.0 + k - n + 2.0 * n * H)
+
+
 def _payoff_block(lo: int, hi: int, n: int):
     """(phi1, phi2) at k = lo..hi-1, 1 <= lo <= hi <= n + 1: phi_r[k - lo] =
     payoff(k, r, n), and phi1 - phi2 = mean_operator(k, n).  Each entry is a
     function of k and n alone, so a block of one row gives every cell of a
     longer block bit for bit."""
     k = np.arange(lo, hi, dtype=np.float64)
-    phi1 = (k / n**2) * (1.0 + k - n + 2.0 * n * _harmonic_block(k, n))
+    phi1 = _phi1(k, n, _harmonic_block(k, n))
     phi2 = k * (n - k + 1.0) / n**2
     return phi1, phi2
 
@@ -210,7 +215,9 @@ _TIE = 1e-12
 def _rank2_continues(n):
     """k -> phi(k, 2) < M(k) on 2..n, that is g(k) = 3 - 3k/n + 1/n -
     2(psi(n) - psi(k)) < 0.  g rises while k < 2n/3 and stays >= g(n) = 1/n
-    > 0 after that, so the test holds on an initial segment."""
+    > 0 after that, so the test holds on an initial segment.  The margin is
+    -g: M - phi2 as `_phi1` - 2 phi2 cancels two O(k/n) terms, which flips
+    the float sign at 15 of 142,435 k next to k2, all within _TIE of zero."""
     def test(k):
         margin = 2.0 * harmonic_diff(k, n) - (3 * (n - k) + 1) / n
         if abs(margin) < _TIE:  # the same, times n
@@ -226,8 +233,7 @@ def _rank1_continues(k2, n):
     In closed_form_value's terms, (n^2/k)(v~ - phi(k, 1)) is
     n D (D + 2E - 3) + 3 k2 - 2k - 1 - n + 2D - n Q."""
     def test(k):
-        phi1 = (k / n**2) * (1.0 + k - n + 2.0 * n * harmonic_diff(k, n))
-        margin = closed_form_value(k, k2, n) - phi1
+        margin = closed_form_value(k, k2, n) - _phi1(k, n, harmonic_diff(k, n))
         if abs(margin) < _TIE:
             (p_k, q_k), (p_k2, q_k2), (p_n, _) = map(_psi_exact, (k, k2, n))
             D, E = p_k2 - p_k, p_n - p_k2

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ._validate import _check_int
+from ._validate import MAX_HORIZON, _check_int
 
 _SERIES_FROM = 32
 # B_2..B_14 as (numerator, denominator): psi(x) ~ log x - 1/(2x) -
@@ -37,8 +37,8 @@ def harmonic_diff(k: int, n: int) -> float:
     """
     k = _check_int(k, "k")
     n = _check_int(n, "n")
-    if k < 1 or n < k:
-        raise ValueError(f"harmonic_diff needs 1 <= k <= n, got k={k}, n={n}")
+    if not 1 <= k <= n <= MAX_HORIZON:
+        raise ValueError(f"harmonic_diff needs 1 <= k <= n <= 10**154, got k={k}, n={n}")
     lo = n if n - k < _SERIES_FROM else max(k, _SERIES_FROM)
     terms = [1.0 / j for j in range(k, lo)]
     if lo < n:  # psi(n) - psi(lo)
@@ -64,8 +64,8 @@ def trigamma_diff(k: int, s: int) -> float:
     """
     k = _check_int(k, "k")
     s = _check_int(s, "s")
-    if k < 1 or s < k:
-        raise ValueError(f"trigamma_diff needs 1 <= k <= s, got k={k}, s={s}")
+    if not 1 <= k <= s <= MAX_HORIZON:
+        raise ValueError(f"trigamma_diff needs 1 <= k <= s <= 10**154, got k={k}, s={s}")
     hi = s + 1
     lo = hi if hi - (k + 1) < _SERIES_FROM else max(k + 1, _SERIES_FROM)
     terms = [1.0 / (j * j) for j in range(k + 1, lo)]

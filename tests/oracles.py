@@ -8,6 +8,10 @@ per-k Python loop over plain floats or exact rationals, thresholds by a scan
 of the full payoff tables, policy values by enumerating all n! rank
 sequences, Monte Carlo trials as full rank sequences scanned one column at a
 time, and CLI output as one csv.writer row per line or one json.dump.
+``realized_outcome`` traces one explicit rank sequence position by
+position.  The n!-sequence sum is built on it, so it checks
+``shelflife.simulate.exhaustive_policy_value``, which traces its rank
+classes on its own, by a separate route.
 """
 
 import csv
@@ -16,11 +20,11 @@ import json
 import math
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from shelflife._validate import _check_horizon
-from shelflife.simulate import realized_outcome
 from shelflife.solver import (
     PolicyThresholds,
     _continuation,
@@ -188,6 +192,55 @@ def payoff_fraction(k: int, r: int, n: int) -> Fraction:
         return Fraction(k * (n - k + 1), n * n)
     H = sum((Fraction(1, j) for j in range(k, n)), Fraction(0))
     return Fraction(k, n * n) * (1 + k - n + 2 * n * H)
+
+
+class TrialOutcome(NamedTuple):
+    """One trial: where the policy stopped and how long the selection lasted."""
+
+    stop_time: Optional[int]
+    stop_rank: Optional[int]
+    end_time: Optional[int]
+    normalized_payoff: float
+
+
+def realized_outcome(seq, policy) -> TrialOutcome:
+    """Trace one rank sequence under a threshold policy.
+
+    The policy stops at the first k with (y_k = 1 and k > k1) or (y_k = 2 and
+    k > k2).  A second-best selection leaves the top two at the next arrival
+    with rank in {1, 2}.  A best selection survives until a new best appears
+    (it is then relatively second) and leaves at the next {1, 2} arrival after
+    that.  end_time is n+1 when the selection stays in the top two throughout;
+    a policy that never stops earns 0.
+    """
+    k1, k2 = policy
+    n = len(seq)
+    stop = 0
+    for t in range(1, n + 1):
+        y = seq[t - 1]
+        if (y == 1 and t > k1) or (y == 2 and t > k2):
+            stop = t
+            break
+    if stop == 0:
+        return TrialOutcome(None, None, None, 0.0)
+    end = n + 1
+    if seq[stop - 1] == 2:
+        for t in range(stop + 1, n + 1):
+            if seq[t - 1] <= 2:
+                end = t
+                break
+    else:
+        s = 0
+        for t in range(stop + 1, n + 1):
+            if seq[t - 1] == 1:
+                s = t
+                break
+        if s:
+            for t in range(s + 1, n + 1):
+                if seq[t - 1] <= 2:
+                    end = t
+                    break
+    return TrialOutcome(stop, seq[stop - 1], end, (end - stop) / n)
 
 
 def exhaustive_policy_value_fsum(policy, n: int) -> float:

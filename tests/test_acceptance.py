@@ -12,7 +12,7 @@ import numpy as np
 from oracles import mean_operator_direct, payoff_from_pmf
 
 from shelflife.asymptotic import (
-    asymptotic_value,
+    asymptotic_solution,
     mean_operator_limit,
     phi_limit,
     solve_a,
@@ -83,7 +83,7 @@ def test_criterion_3_asymptotic_constants():
     start = time.perf_counter()
     b = solve_b()
     a = solve_a(b)
-    v = asymptotic_value()
+    v = asymptotic_solution().value
     errs = (abs(b - B_REF), abs(a - A_REF), abs(v - V_REF))
     ok = errs[0] <= 1e-6 and errs[1] <= 1e-5 and errs[2] <= 1e-5
     elapsed = time.perf_counter() - start

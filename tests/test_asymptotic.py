@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -8,7 +9,6 @@ from scipy.optimize import brentq
 
 from shelflife.asymptotic import (
     asymptotic_solution,
-    asymptotic_value,
     limit_value_function,
     mean_operator_limit,
     phi_limit,
@@ -201,17 +201,17 @@ class TestHighPrecisionOracle:
 
 class TestAsymptoticValue:
     def test_reference_value(self):
-        assert asymptotic_value() == pytest.approx(V_REF, abs=1e-5)
+        assert asymptotic_solution().value == pytest.approx(V_REF, abs=1e-5)
 
     def test_consistent_with_solution_tuple(self):
         sol = asymptotic_solution()
         assert 0.0 < sol.a < sol.b < 1.0
         assert 0.0 < sol.value < 1.0
-        assert asymptotic_value() == sol.value
+        assert asymptotic_solution() == sol
         assert sol.value == limit_value_function(sol.a, sol.b)
 
     def test_finite_horizon_gap(self):
-        assert abs(solve(10_000).value - asymptotic_value()) <= 2e-4
+        assert abs(solve(10_000).value - asymptotic_solution().value) <= 2e-4
 
 
 class TestConvergenceLadder:
@@ -226,3 +226,36 @@ class TestConvergenceLadder:
         for gaps in (gaps_a, gaps_b, gaps_v):
             # non-strict: k1/n happens to tie exactly between n=100 and n=1000
             assert all(b <= a + 1e-15 for a, b in zip(gaps, gaps[1:])), gaps
+
+
+@functools.cache
+def _thresholds_10_to_20000():
+    ns = np.arange(10, 20001)
+    k1, k2 = np.array([solve(int(n)).thresholds for n in ns]).T
+    return ns, k1, k2
+
+
+class TestThresholdRules:
+    """The abstract's k1 = floor(aN) and k2 = floor(bN) against solve at every
+    N in 10..20000, and the offset rules that hold there up to listed N."""
+
+    def test_k2_second_order_rule(self):
+        # expanding phi(k, 2) = M(k) to order 1/N gives k2 = floor(bN + delta2)
+        b = asymptotic_solution().b
+        delta2 = (1 - 2 * b) / (5 - 6 * b + 2 * math.log(b))
+        assert delta2 == pytest.approx(0.2212928, abs=1e-7)
+        ns, _, k2 = _thresholds_10_to_20000()
+        assert ns[k2 != np.floor(b * ns + delta2)].tolist() == [57]
+
+    def test_k1_offset_rule(self):
+        # an empirical offset, not yet derived from v~(x, b) = phi(x, 1)
+        a = asymptotic_solution().a
+        ns, k1, _ = _thresholds_10_to_20000()
+        misses = ns[k1 != np.floor(a * ns + 0.0783)].tolist()
+        assert misses == [16, 41, 124, 531, 7243, 8082, 19936]
+
+    def test_abstract_rules_miss_often(self):
+        a, b, _ = asymptotic_solution()
+        ns, k1, k2 = _thresholds_10_to_20000()
+        assert np.count_nonzero(k2 != np.floor(b * ns)) == 4422
+        assert np.count_nonzero(k1 != np.floor(a * ns)) == 1559

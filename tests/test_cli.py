@@ -109,6 +109,11 @@ class TestSolveCommand:
         record = json.loads(out)
         assert (record["k1"], record["k2"]) == (120381306662927, 417188356134188)
 
+    def test_horizon_above_1e154_exits_2(self, capsys):
+        code, out, err = run_cli(["solve", "--n", str(10**155)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "10**154" in err
+
     def test_table_too_large_to_allocate_exits_2(self, tmp_path):
         # 7.1 PiB is beyond a 47-bit address space, so the allocation fails at
         # once and touches no memory

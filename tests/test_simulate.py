@@ -1,34 +1,37 @@
 import collections
 import itertools
 import math
+import os
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    TrialOutcome,
     _batch_outcomes,
     dense_monte_carlo,
     exhaustive_policy_value_fsum,
     generate_rank_sequence,
     permutation_to_ranks,
     policy_value_fraction,
+    realized_outcome,
 )
 
 import shelflife.simulate
 from shelflife.simulate import (
     BLOCK,
     McEstimate,
-    TrialOutcome,
     _end_times,
     _next_best,
     _next_candidate,
     _payoffs,
+    _threads,
     _uniforms,
     exhaustive_policy_value,
     monte_carlo,
-    realized_outcome,
 )
 from shelflife.solver import duration_pmf, payoff, policy_value, solve
 
@@ -185,11 +188,12 @@ class TestExhaustivePolicyValue:
     def test_traces_each_class_once(self, n, monkeypatch):
         seqs = []
 
-        def record(seq, policy):
-            seqs.append(seq)
-            return realized_outcome(seq, policy)
+        def product(*iterables):
+            for seq in itertools.product(*iterables):
+                seqs.append(seq)
+                yield seq
 
-        monkeypatch.setattr(shelflife.simulate, "realized_outcome", record)
+        monkeypatch.setattr(shelflife.simulate, "itertools", SimpleNamespace(product=product))
         exhaustive_policy_value((1, n - 1), n)
         assert len(set(seqs)) == len(seqs) == 2 * 3 ** (n - 2)
 
@@ -289,6 +293,13 @@ class TestMonteCarlo:
         monkeypatch.setenv("DURATION_SOLVER_THREADS", value)
         with pytest.raises(ValueError, match="DURATION_SOLVER_THREADS"):
             monte_carlo(10, (1, 4), 100, 1)
+
+    def test_thread_count_is_at_most_the_cpu_count(self, monkeypatch):
+        # pool.map would start one thread per block up to this count
+        monkeypatch.setenv("DURATION_SOLVER_THREADS", "100000")
+        assert _threads() == (os.cpu_count() or 1)
+        monkeypatch.setenv("DURATION_SOLVER_THREADS", "1")
+        assert _threads() == 1
 
     @pytest.mark.parametrize("m1", [1, 777, BLOCK - 1])
     def test_trial_randomness_is_a_pure_function_of_seed_and_index(self, m1):

@@ -538,6 +538,33 @@ class TestNumpyIntegerArguments:
         assert got == want
 
 
+class TestHorizonBound:
+    """Horizons above 10**154 are a domain error: the closed forms take
+    1/n**2, and n * n is no longer a finite float from about 1.34e154."""
+
+    @pytest.mark.parametrize(
+        "n", [10**154 + 1, 10**155, 10**200], ids=["1e154+1", "1e155", "1e200"])
+    @pytest.mark.parametrize("fn, args", [
+        (solve, ()),
+        (payoff, (1, 1)),
+        (policy_value, ((5, 7),)),
+        (closed_form_value, (5, 7)),
+        (harmonic_diff, (1,)),
+        (trigamma_diff, (1,)),
+    ], ids=lambda v: v.__name__ if callable(v) else repr(v))
+    def test_rejected(self, fn, args, n):
+        with pytest.raises(ValueError, match=r"10\*\*154"):
+            fn(*args, n)
+
+    def test_largest_horizon_is_finite(self):
+        # solve works here too, but takes about 17 s: nearly every step of its
+        # threshold search falls within _TIE and is settled in exact rationals
+        n = 10**154
+        values = (payoff(1, 1, n), payoff(n // 3, 2, n), mean_operator(7, n),
+                  policy_value((5, 7), n), policy_value((5, 5), n), harmonic_diff(1, n))
+        assert all(math.isfinite(v) and v > 0 for v in values)
+
+
 class TestValueAccuracy:
     @pytest.mark.parametrize("n", [10**4, 10**5, 10**6, 10**7, 10**9, 10**15])
     def test_value_against_40_digits(self, n):
