@@ -29,10 +29,6 @@ def _check_horizon(n):
     return n
 
 
-def _check_time(k, n, name="k"):
-    return _check_int(k, name, 1, n)
-
-
 def _check_policy(policy, n):
     """Unpack a threshold pair (k1, k2), which must satisfy 0 <= k1 <= k2 <= n."""
     k1, k2 = policy

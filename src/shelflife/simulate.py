@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._validate import _check_int, _check_policy
+from ._validate import _check_horizon, _check_int, _check_policy
 
 BLOCK = 32768
 
@@ -109,7 +109,7 @@ def monte_carlo(n: int, policy, trials: int, seed: int) -> McEstimate:
     Deterministic for fixed (seed, trials) independent of thread count; see
     the module docstring for the substream layout.
     """
-    n = _check_int(n, "n", 2)
+    n = _check_horizon(n)
     k1, k2 = _check_policy(policy, n)
     trials = _check_int(trials, "trials", 1)
     seed = _check_int(seed, "seed", 0, 2**64 - 1)

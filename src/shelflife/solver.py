@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from ._validate import _check_horizon, _check_int, _check_policy, _check_time
+from ._validate import _check_horizon, _check_int, _check_policy
 from .asymptotic import asymptotic_solution
 from .special import _harmonic_block, _psi_exact, harmonic_diff, trigamma_diff
 
@@ -63,18 +63,13 @@ class SolveResult:
         return state_values
 
 
-def _phi1(k, n, H):
-    """phi(k, 1) = (k/n^2)(1 + k - n + 2nH), H = psi(n) - psi(k); scalars or arrays."""
-    return (k / n**2) * (1.0 + k - n + 2.0 * n * H)
-
-
 def _payoff_block(lo: int, hi: int, n: int):
     """(phi1, phi2) at k = lo..hi-1, 1 <= lo <= hi <= n + 1: phi_r[k - lo] =
     payoff(k, r, n), and phi1 - phi2 = mean_operator(k, n).  Each entry is a
     function of k and n alone, so a block of one row gives every cell of a
     longer block bit for bit."""
     k = np.arange(lo, hi, dtype=np.float64)
-    phi1 = _phi1(k, n, _harmonic_block(k, n))
+    phi1 = (k / n**2) * (1.0 + k - n + 2.0 * n * _harmonic_block(k, n))
     phi2 = k * (n - k + 1.0) / n**2
     return phi1, phi2
 
@@ -82,7 +77,7 @@ def _payoff_block(lo: int, hi: int, n: int):
 def _pmf_survive(i: int, r: int, n: int):
     """Check (i, r, n) as duration_pmf does; return i, n as ints and the mass of key n + 1."""
     n = _check_horizon(n)
-    i = _check_time(i, n, "i")
+    i = _check_int(i, "i", 1, n)
     if r not in (1, 2):
         raise ValueError(f"rank must be 1 or 2, got {r}")
     if r > i:
@@ -128,7 +123,7 @@ def payoff(k: int, r: int, n: int) -> float:
     phi(k, 2) = k(n - k + 1)/n^2, and 0 for any rank beyond the candidate set.
     """
     n = _check_horizon(n)
-    k = _check_time(k, n)
+    k = _check_int(k, "k", 1, n)
     if r < 1:
         raise ValueError(f"rank must be >= 1, got {r}")
     if r > 2:
@@ -163,7 +158,7 @@ def mean_operator(k: int, n: int) -> float:
     from k = 1 (the direct-sum oracle needs k >= 2).
     """
     n = _check_horizon(n)
-    k = _check_time(k, n)
+    k = _check_int(k, "k", 1, n)
     phi1, phi2 = _payoff_block(k, k + 1, n)
     return float(phi1[0] - phi2[0])
 
@@ -207,40 +202,48 @@ def _last_true(test, lo, hi, guess):
     return good if good >= lo else 0
 
 
-# Float margins nearer zero than this (error 2e-15 measured) are settled exactly;
-# they move by about 1.5/n per step, so only next to a crossing at n > 10^12.
+# Float margins within _TIE * scale of 0 are evaluated again in Decimal.  Float error:
+# under 4e-16 scale, 1/25 of the _TIE * scale / 100 that TestTieBand asserts to 10^154.
+# Decimal error: at most 3n times _psi_exact's 3.7e-25 below argument 32; but no
+# margin is in the band before n = 300, nor after it at an argument below 32.
 _TIE = 1e-12
 
 
-def _rank2_continues(n):
-    """k -> phi(k, 2) < M(k) on 2..n, that is g(k) = 3 - 3k/n + 1/n -
-    2(psi(n) - psi(k)) < 0.  g rises while k < 2n/3 and stays >= g(n) = 1/n
-    > 0 after that, so the test holds on an initial segment.  The margin is
-    -g: M - phi2 as `_phi1` - 2 phi2 cancels two O(k/n) terms, which flips
-    the float sign at 15 of 142,435 k next to k2, all within _TIE of zero."""
-    def test(k):
-        margin = 2.0 * harmonic_diff(k, n) - (3 * (n - k) + 1) / n
-        if abs(margin) < _TIE:  # the same, times n
-            margin = 2 * n * (_psi_exact(n)[0] - _psi_exact(k)[0]) - 3 * (n - k) - 1
-        return margin > 0
-
-    return test
+def _rank2_margin(k, n, exact=False):
+    """n(M(k) - phi(k, 2)) = 2n(psi(n) - psi(k)) - 3(n - k) - 1, scale n, in
+    float or Decimal; it falls until k = 2n/3 and is <= -1 after."""
+    H = _psi_exact(n)[0] - _psi_exact(k)[0] if exact else harmonic_diff(k, n)
+    return 2 * n * H - 3 * (n - k) - 1
 
 
-def _rank1_continues(k2, n):
-    """k -> phi(k, 1) < v~(k, k2) on 1..k2-1, where v~(k, k2) = w~(k+1) under
-    (k, k2).  (At k2, w~(k2+1) = M(k2) = phi(k2, 1) - phi(k2, 2), so k1 < k2.)
-    In closed_form_value's terms, (n^2/k)(v~ - phi(k, 1)) is
-    n D (D + 2E - 3) + 3 k2 - 2k - 1 - n + 2D - n Q."""
-    def test(k):
-        margin = closed_form_value(k, k2, n) - _phi1(k, n, harmonic_diff(k, n))
-        if abs(margin) < _TIE:
-            (p_k, q_k), (p_k2, q_k2), (p_n, _) = map(_psi_exact, (k, k2, n))
-            D, E = p_k2 - p_k, p_n - p_k2
-            margin = n * (D * (D + 2 * E - 3) - q_k + q_k2) + 2 * D + 3 * k2 - 2 * k - 1 - n
-        return margin > 0
+def _rank1_margin(k, k2, n, exact=False):
+    """(n^2/k)(v~(k, k2) - phi(k, 1)), scale n^2/k, from closed_form_value's
+    D, E and Q; on 1..k2-1, as v~(k2, k2) = M(k2) < phi(k2, 1)."""
+    if exact:
+        (p_k, q_k), (p_k2, q_k2), (p_n, _) = map(_psi_exact, (k, k2, n))
+        D, E, Q = p_k2 - p_k, p_n - p_k2, q_k - q_k2
+    else:
+        D, E = harmonic_diff(k, k2), harmonic_diff(k2, n)
+        Q = 1.0 / (k * k) - 1.0 / (k2 * k2) - trigamma_diff(k, k2)
+    return n * (D * (D + 2 * E - 3) - Q) + 2 * D + 3 * k2 - 2 * k - 1 - n
 
-    return test
+
+def _positive(margin, scale, *args):
+    """margin(*args) > 0; within _TIE * scale of 0, in Decimal at digits(n) + 30."""
+    m = margin(*args)
+    if abs(m) < _TIE * scale:
+        from decimal import Context, localcontext  # only ties need it; 3.10 lacks prec=
+        with localcontext(Context(prec=len(str(args[-1])) + 30)):  # args end in n
+            m = margin(*args, exact=True)
+    return m > 0
+
+
+def _rank2_continues(n):  # k -> phi(k, 2) < M(k) on 2..n, an initial segment
+    return lambda k: _positive(_rank2_margin, n, k, n)
+
+
+def _rank1_continues(k2, n):  # k -> phi(k, 1) < v~(k, k2) on 1..k2-1
+    return lambda k: _positive(_rank1_margin, n * n / k, k, k2, n)
 
 
 def solve(n: int) -> SolveResult:
@@ -294,8 +297,7 @@ def closed_form_value(k1: int, k2: int, n: int) -> float:
     k2 = _check_int(k2, "k2")
     if not 1 <= k1 < k2 <= n:
         raise ValueError(f"need 1 <= k1 < k2 <= n, got ({k1}, {k2}) with n={n}")
-    D = harmonic_diff(k1, k2)
-    E = harmonic_diff(k2, n)
+    D, E = harmonic_diff(k1, k2), harmonic_diff(k2, n)
     Q = 1.0 / (k1 * k1) - 1.0 / (k2 * k2) - trigamma_diff(k1, k2)
     head = (k1 / n**2) * ((2.0 - n) * D + (k2 - k1) + n * (D * D - Q) + 2.0 * n * D * E)
     return head + 2.0 * k1 * k2 / n**2 - 2.0 * k1 / n + (2.0 * k1 / n) * E

@@ -114,6 +114,13 @@ class TestSolveCommand:
         assert code == 2 and out == ""
         assert err.startswith("error:") and "10**154" in err
 
+    def test_simulate_above_1e154_exits_2(self, capsys):
+        # monte_carlo checks the horizon before it draws a single trial
+        code, out, err = run_cli(
+            ["simulate", "--n", str(10**155), "--k1", "5", "--k2", "7"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: horizon must be at most 10**154")
+
     def test_table_too_large_to_allocate_exits_2(self, tmp_path):
         # 7.1 PiB is beyond a 47-bit address space, so the allocation fails at
         # once and touches no memory

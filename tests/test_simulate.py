@@ -267,8 +267,14 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("n", [1, 0, -3])
     def test_rejects_horizons_below_two(self, n):
         # the same lower bound as solve and policy_value
-        with pytest.raises(ValueError, match="n must be >= 2"):
+        with pytest.raises(ValueError, match="horizon must be >= 2"):
             monte_carlo(n, (0, 0), 100, 1)
+
+    @pytest.mark.parametrize("n", [10**154 + 1, 10**155], ids=["1e154+1", "1e155"])
+    def test_rejects_horizons_above_the_cap(self, n):
+        # the same upper bound as solve and policy_value, checked before any draw
+        with pytest.raises(ValueError, match=r"horizon must be at most 10\*\*154"):
+            monte_carlo(n, (5, 7), 100, 1)
 
     @pytest.mark.parametrize(
         "n, trials, seed",

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import mpmath
 import numpy as np
@@ -26,10 +27,13 @@ from shelflife.simulate import exhaustive_policy_value, monte_carlo
 from shelflife.solver import (
     PolicyThresholds,
     SolveResult,
+    _TIE,
     _last_true,
     _payoff_block,
     _rank1_continues,
+    _rank1_margin,
     _rank2_continues,
+    _rank2_margin,
     closed_form_value,
     duration_pmf,
     mean_operator,
@@ -557,8 +561,9 @@ class TestHorizonBound:
             fn(*args, n)
 
     def test_largest_horizon_is_finite(self):
-        # solve works here too, but takes about 17 s: nearly every step of its
-        # threshold search falls within _TIE and is settled in exact rationals
+        # solve(10**154) is checked in TestValueAccuracy; it takes about 1.3 s,
+        # as nearly every step of its threshold search falls within the tie
+        # band and is settled in Decimal
         n = 10**154
         values = (payoff(1, 1, n), payoff(n // 3, 2, n), mean_operator(7, n),
                   policy_value((5, 7), n), policy_value((5, 5), n), harmonic_diff(1, n))
@@ -576,8 +581,19 @@ class TestValueAccuracy:
     def test_thresholds_are_exact_crossings_in_40_digits(self, n):
         """Each threshold is the last k at which continuing is strictly
         better; at 10^15 the float margins next to the crossings are 1e-16."""
+        self.assert_exact_crossings(n, 40)
+
+    @pytest.mark.parametrize("n", [10**50, 10**80, 10**154], ids=["1e50", "1e80", "1e154"])
+    def test_thresholds_are_exact_crossings_at_huge_horizons(self, n):
+        """Where float64 cannot tell the margins apart next to a crossing, so
+        the search settles them in Decimal; mpmath works at the solver's
+        precision rule, digits(n) + 30."""
+        self.assert_exact_crossings(n, len(str(n)) + 30)
+
+    @staticmethod
+    def assert_exact_crossings(n, dps):
         k1, k2 = solve(n).thresholds
-        with mpmath.workdps(40):
+        with mpmath.workdps(dps):
 
             def g(k):  # phi(k, 2) - M(k), over k/n
                 return 3 - mpmath.mpf(3 * k - 1) / n - 2 * (mpmath.digamma(n) - mpmath.digamma(k))
@@ -589,6 +605,37 @@ class TestValueAccuracy:
 
             assert g(k2) < 0 <= g(k2 + 1)
             assert d(k1) < 0 <= d(k1 + 1)
+
+
+class TestTieBand:
+    """A float margin is re-evaluated in Decimal when it lies within
+    _TIE * scale of zero.  That settles every sign the float could get wrong
+    only while the float error stays well inside the band."""
+
+    LADDER = [10**4, 10**6, 10**9, 10**12, 10**15, 10**20, 10**30, 10**45, 10**60,
+              10**80, 10**100, 10**120, 10**154]
+
+    @pytest.mark.parametrize("n", LADDER, ids=lambda n: f"1e{len(str(n)) - 1}")
+    def test_float_error_inside_tie_band(self, n):
+        k1, k2 = solve(n).thresholds
+        cases = [(_rank2_margin, (k, n), n) for k in range(k2 - 3, k2 + 4)]
+        cases += [(_rank1_margin, (k, k2, n), n * n / k) for k in range(k1 - 3, min(k1 + 4, k2))]
+        with localcontext() as ctx:
+            ctx.prec = len(str(n)) + 30
+            for margin, args, scale in cases:
+                error = abs(Decimal(margin(*args)) - margin(*args, exact=True))
+                assert error < Decimal(_TIE * scale / 100), (margin.__name__, args)
+
+    def test_no_tie_at_small_horizons(self):
+        """Below n = 300 (k1 < 32 up to n = 265) no margin at any k comes
+        near the band, so _psi_exact's truncation below argument 32 never
+        decides a sign."""
+        for n in range(2, 300):
+            for k in range(2, n + 1):
+                assert abs(_rank2_margin(k, n)) > 1e3 * _TIE * n, (n, k)
+            k2 = _last_true(_rank2_continues(n), 2, n, n // 2)
+            for k in range(1, k2):
+                assert abs(_rank1_margin(k, k2, n)) > 1e3 * _TIE * n * n / k, (n, k)
 
 
 class TestAllStopIsTheMeanOperator:

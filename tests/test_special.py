@@ -1,4 +1,5 @@
 import math
+from decimal import localcontext
 from fractions import Fraction
 
 import mpmath
@@ -9,7 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from shelflife.solver import closed_form_value
-from shelflife.special import _harmonic_block, harmonic_diff, lambert_w0, trigamma_diff
+from shelflife.special import (
+    _harmonic_block,
+    _psi_exact,
+    harmonic_diff,
+    lambert_w0,
+    trigamma_diff,
+)
 
 # Benchmark-scale arguments: the optimal thresholds near 10^6 and full-range sums.
 LARGE_PAIRS = [(1, 10**6), (120381, 417188), (406000, 975000), (1000, 999999),
@@ -144,6 +151,29 @@ class TestSeriesAgainstMpmath:
         for k in (1, 31, 32, 10**15):
             assert math.copysign(1.0, harmonic_diff(k, k)) == 1.0
             assert math.copysign(1.0, trigamma_diff(k, k)) == 1.0
+
+
+class TestPsiExact:
+    """The Decimal psi and psi_1 behind the solver's near-tie margins, at the
+    solver's precision rule (digits(x) + 30) against mpmath 40 digits beyond.
+    Below 32 the error is the series' truncation at argument 32, 3.7e-25;
+    from there on the truncation falls as x^-16, and at large x only rounding
+    is left."""
+
+    @pytest.mark.parametrize("x", [1, 31, 32, 33, 10**6, 10**15, 10**100, 10**154],
+                             ids=["1", "31", "32", "33", "1e6", "1e15", "1e100", "1e154"])
+    def test_against_mpmath(self, x):
+        prec = len(str(x)) + 30
+        with localcontext() as ctx:
+            ctx.prec = prec
+            psi, psi1 = _psi_exact(x)
+        with mpmath.workdps(prec + 40):
+            errors = [abs(mpmath.mpf(str(psi)) - mpmath.digamma(x)),
+                      abs(mpmath.mpf(str(psi1)) - mpmath.polygamma(1, x))]
+        for error in errors:
+            # 32 and 33 carry the truncation at about their own argument,
+            # 1.2e-23 and 7.4e-24 times x, so they share the bound below 32
+            assert error < 1e-24 if x <= 33 else x * error < 1e-25, (x, errors)
 
 
 @pytest.mark.parametrize(
