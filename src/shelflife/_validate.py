@@ -31,7 +31,10 @@ def _check_horizon(n):
 
 def _check_policy(policy, n):
     """Unpack a threshold pair (k1, k2), which must satisfy 0 <= k1 <= k2 <= n."""
-    k1, k2 = policy
+    try:
+        k1, k2 = policy
+    except (TypeError, ValueError):
+        raise ValueError(f"policy must be a pair (k1, k2), got {policy!r}") from None
     k1 = _check_int(k1, "k1")
     k2 = _check_int(k2, "k2")
     if not 0 <= k1 <= k2 <= n:

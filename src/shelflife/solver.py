@@ -78,8 +78,7 @@ def _pmf_survive(i: int, r: int, n: int):
     """Check (i, r, n) as duration_pmf does; return i, n as ints and the mass of key n + 1."""
     n = _check_horizon(n)
     i = _check_int(i, "i", 1, n)
-    if r not in (1, 2):
-        raise ValueError(f"rank must be 1 or 2, got {r}")
+    r = _check_int(r, "rank", 1, 2)
     if r > i:
         raise ValueError(f"rank {r} impossible at time {i}")
     num = i * (i - 1) if r == 2 else 2.0 * n * i - i * i - i
@@ -124,8 +123,7 @@ def payoff(k: int, r: int, n: int) -> float:
     """
     n = _check_horizon(n)
     k = _check_int(k, "k", 1, n)
-    if r < 1:
-        raise ValueError(f"rank must be >= 1, got {r}")
+    r = _check_int(r, "rank", 1)
     if r > 2:
         return 0.0
     return float(_payoff_block(k, k + 1, n)[r - 1][0])

@@ -215,16 +215,6 @@ class TestSimulateCommand:
         assert err.startswith("error:")
 
 
-    def test_malformed_thread_count_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("DURATION_SOLVER_THREADS", "abc")
-        code, out, err = run_cli(
-            ["simulate", "--n", "5", "--trials", "10", "--seed", "1"], capsys
-        )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:") and "DURATION_SOLVER_THREADS" in err
-
-
 class TestPmfCommand:
     def test_json(self, capsys):
         code, out, _ = run_cli(["pmf", "--n", "6", "--i", "3", "--rank", "1"], capsys)

@@ -179,6 +179,16 @@ class TestPayoff:
         with pytest.raises(ValueError):
             evaluate(k)
 
+    @pytest.mark.parametrize(
+        "evaluate",
+        [lambda r: payoff(2, r, 10), lambda r: duration_pmf(2, r, 10)],
+        ids=["payoff", "duration_pmf"],
+    )
+    @pytest.mark.parametrize("r", [1.0, 1.5, True, "1"])
+    def test_rank_must_be_an_integer(self, evaluate, r):
+        with pytest.raises(ValueError):
+            evaluate(r)
+
     def test_rank1_dominates_rank2(self):
         for n in (2, 3, 17, 300):
             for k in range(2, n + 1):
@@ -520,6 +530,7 @@ class TestNumpyIntegerArguments:
     @pytest.mark.parametrize("fn, args", [
         (payoff, (4 * 10**9, 1, N)),
         (payoff, (4 * 10**9, 2, N)),
+        (payoff, (4 * 10**9, 3, N)),
         (mean_operator, (4 * 10**9, N)),
         (transition_prob, (4 * 10**9, None, N)),
         (transition_prob, (4 * 10**9, 4 * 10**9 + 7, N)),
