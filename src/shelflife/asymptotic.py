@@ -10,6 +10,7 @@ the first threshold exactly as the finite-n continuation value is.
 import math
 from typing import NamedTuple
 
+from ._validate import _check_int
 from .special import lambert_w0
 
 
@@ -24,11 +25,9 @@ def phi_limit(x: float, r: int) -> float:
     x(1 - x) for rank 2.  Both vanish at x = 1."""
     if not 0.0 < x <= 1.0:
         raise ValueError(f"x must be in (0, 1], got {x}")
-    if r == 1:
+    if _check_int(r, "rank", 1, 2) == 1:
         return x * x - 2.0 * x * math.log(x) - x
-    if r == 2:
-        return x * (1.0 - x)
-    raise ValueError(f"rank must be 1 or 2, got {r}")
+    return x * (1.0 - x)
 
 
 def mean_operator_limit(x: float) -> float:

@@ -5,7 +5,8 @@ time t the next rank-1 arrival R and the next candidate C (rank 1 or 2) obey
 P(R > s) = t/s and P(C > s) = t(t-1)/(s(s-1)), and each is one inverted
 uniform.  A trial jumps between these epochs on five uniforms (see
 `_payoffs`), so it costs O(1) whatever the horizon.  The exhaustive oracle
-`exhaustive_policy_value` traces one rank sequence per class instead.
+`exhaustive_policy_value` instead traces every class of rank sequences at
+once, as boolean first-index searches over one int8 matrix of classes.
 
 PRNG: numpy Philox (counter-based).  Trials are drawn in fixed blocks of
 ``BLOCK`` trials; block b uses the substream keyed by (seed, b*BLOCK) and
@@ -14,7 +15,6 @@ of trial t is a pure function of (seed, t), whatever the blocks around it
 hold, and the per-block sums are reduced with math.fsum.
 """
 
-import itertools
 import math
 from typing import NamedTuple
 
@@ -54,7 +54,8 @@ def _next_candidate(t, u, cap):
     seeds) are one too high at t = 10**13.  A one-step miss moves one
     duration by 1/n.
     """
-    q = t * (t - 1.0) / u
+    with np.errstate(over="ignore"):  # near the 10**154 cap q can overflow: inf gives s = cap
+        q = t * (t - 1.0) / u
     s = np.minimum(np.floor(0.5 + np.sqrt(0.25 + q)) + 1.0, cap)
     s -= (s - 1.0) * (s - 2.0) > q
     return s
@@ -125,31 +126,53 @@ def monte_carlo(n: int, policy, trials: int, seed: int) -> McEstimate:
     return McEstimate(mean=mean, std_error=std_error, trials=trials, seed=seed)
 
 
+def _rank_classes(n):
+    """The 2*3**(n-2) rank classes as rows of an int8 (rows, n) matrix y, with
+    y_1 = 1, y_2 in {1, 2} and y_k in {1, 2, 3} for k >= 3, and each class's
+    int64 weight prod(k - 2) over its 3-positions, the number of rank sequences
+    it stands for; the weights sum to n!."""
+    y = np.ones((2 * 3 ** (n - 2), n), dtype=np.int8, order="F")
+    y[:, 1:] = np.indices((2,) + (3,) * (n - 2), dtype=np.int8).reshape(n - 1, -1).T + 1
+    weight = np.ones(len(y), dtype=np.int64)
+    for k in range(3, n + 1):
+        weight[y[:, k - 1] == 3] *= k - 2
+    return y, weight
+
+
+def _first(mask):
+    """1-based index of the first True in each row of an (rows, n) mask, or n + 1
+    where there is none: position k scores n + 1 - k where True, and 0 where not."""
+    n = mask.shape[1]
+    return n + 1 - (mask * np.arange(n, 0, -1, dtype=np.int8)).max(axis=1)
+
+
+def _after(start, k):
+    """The (rows, n) mask k > start, column-major like the class matrix, so that
+    a reduction along a row runs over contiguous columns."""
+    return np.greater(k, start[:, None], order="F")
+
+
 def exhaustive_policy_value(policy, n: int) -> float:
     """Exact policy value by enumerating every class of rank sequences.
 
     A threshold policy and the end of its candidacy read y_k only through
-    min(y_k, 3), so the sequences fall into 2*3**(n-2) classes: y_1 = 1,
-    y_2 in {1, 2} and y_k in {1, 2, 3} for k >= 3, where 3 stands for the
-    k - 2 ranks above 2.  Each class is traced once and counts prod(k - 2)
-    over its 3-positions of the n! equally likely sequences.  The durations
-    are summed as integers, so the result total / (n * n!) is the exact
-    value correctly rounded.  n is limited to 2..10.
+    min(y_k, 3), so the sequences fall into the 2*3**(n-2) classes of
+    :func:`_rank_classes`, each counting prod(k - 2) of the n! equally likely
+    sequences.  Every class is traced, all at once: the stop is the first k
+    with y_k = 1 after k1 or y_k = 2 after k2; a held best item is first
+    overtaken at the next y = 1; the candidacy ends at the next y <= 2, or at
+    n + 1.  The weighted durations are summed as integers, so the result
+    total / (n * n!) is the exact value correctly rounded.  n is limited to
+    2..10.
     """
     n = _check_int(n, "n", 2, 10)
     k1, k2 = _check_policy(policy, n)
-    total = 0
-    for seq in itertools.product((1,), (1, 2), *[(1, 2, 3)] * (n - 2)):
-        for stop, y in enumerate(seq, 1):
-            if (y == 1 and stop > k1) or (y == 2 and stop > k2):
-                break
-        else:
-            continue  # never stops: earns 0
-        end = stop
-        for top in range(y, 3):  # a best item is first overtaken by a y = 1
-            end += 1
-            while end <= n and seq[end - 1] > top:
-                end += 1
-        weight = math.prod(k - 2 for k, y in enumerate(seq, 1) if y == 3)
-        total += weight * (min(end, n + 1) - stop)
+    y, weight = _rank_classes(n)
+    k = np.arange(1, n + 1, dtype=np.int8)
+    stop1, stop2 = _first((y == 1) & (k > k1)), _first((y == 2) & (k > k2))
+    stop = np.minimum(stop1, stop2)  # n + 1: never stops, and the end below is n + 1 too
+    # a held best item drops to second at the next y = 1; a second best one is there at its stop
+    overtaken = np.where(stop1 < stop2, _first((y == 1) & _after(stop, k)), stop)
+    end = _first((y <= 2) & _after(overtaken, k))
+    total = int(weight @ (end - stop))
     return total / (n * math.factorial(n))

@@ -207,18 +207,20 @@ def _last_true(test, lo, hi, guess):
 _TIE = 1e-12
 
 
-def _rank2_margin(k, n, exact=False):
+def _rank2_margin(k, n, psi=None):
     """n(M(k) - phi(k, 2)) = 2n(psi(n) - psi(k)) - 3(n - k) - 1, scale n, in
-    float or Decimal; it falls until k = 2n/3 and is <= -1 after."""
-    H = _psi_exact(n)[0] - _psi_exact(k)[0] if exact else harmonic_diff(k, n)
+    float, or in Decimal from psi, an evaluator like _psi_exact; it falls
+    until k = 2n/3 and is <= -1 after."""
+    H = psi(n)[0] - psi(k)[0] if psi else harmonic_diff(k, n)
     return 2 * n * H - 3 * (n - k) - 1
 
 
-def _rank1_margin(k, k2, n, exact=False):
+def _rank1_margin(k, k2, n, psi=None):
     """(n^2/k)(v~(k, k2) - phi(k, 1)), scale n^2/k, from closed_form_value's
-    D, E and Q; on 1..k2-1, as v~(k2, k2) = M(k2) < phi(k2, 1)."""
-    if exact:
-        (p_k, q_k), (p_k2, q_k2), (p_n, _) = map(_psi_exact, (k, k2, n))
+    D, E and Q, in float or, from psi, in Decimal; on 1..k2-1, as
+    v~(k2, k2) = M(k2) < phi(k2, 1)."""
+    if psi:
+        (p_k, q_k), (p_k2, q_k2), (p_n, _) = map(psi, (k, k2, n))
         D, E, Q = p_k2 - p_k, p_n - p_k2, q_k - q_k2
     else:
         D, E = harmonic_diff(k, k2), harmonic_diff(k2, n)
@@ -226,22 +228,31 @@ def _rank1_margin(k, k2, n, exact=False):
     return n * (D * (D + 2 * E - 3) - Q) + 2 * D + 3 * k2 - 2 * k - 1 - n
 
 
-def _positive(margin, scale, *args):
+def _positive(margin, scale, psi, *args):
     """margin(*args) > 0; within _TIE * scale of 0, in Decimal at digits(n) + 30."""
     m = margin(*args)
     if abs(m) < _TIE * scale:
         from decimal import Context, localcontext  # only ties need it; 3.10 lacks prec=
         with localcontext(Context(prec=len(str(args[-1])) + 30)):  # args end in n
-            m = margin(*args, exact=True)
+            m = margin(*args, psi=psi)
     return m > 0
 
 
-def _rank2_continues(n):  # k -> phi(k, 2) < M(k) on 2..n, an initial segment
-    return lambda k: _positive(_rank2_margin, n, k, n)
+class _PsiMemo(dict):
+    """_psi_exact by argument, each evaluated once, on first use.  One memo serves
+    the ties of one horizon n, which are all settled at one precision."""
+
+    def __missing__(self, x):
+        self[x] = psi = _psi_exact(x)
+        return psi
 
 
-def _rank1_continues(k2, n):  # k -> phi(k, 1) < v~(k, k2) on 1..k2-1
-    return lambda k: _positive(_rank1_margin, n * n / k, k, k2, n)
+def _rank2_continues(n, psi=_psi_exact):  # k -> phi(k, 2) < M(k) on 2..n, an initial segment
+    return lambda k: _positive(_rank2_margin, n, psi, k, n)
+
+
+def _rank1_continues(k2, n, psi=_psi_exact):  # k -> phi(k, 1) < v~(k, k2) on 1..k2-1
+    return lambda k: _positive(_rank1_margin, n * n / k, psi, k, k2, n)
 
 
 def solve(n: int) -> SolveResult:
@@ -257,8 +268,9 @@ def solve(n: int) -> SolveResult:
     stopping and continuing are resolved by stopping.
     """
     n = _check_horizon(n)
-    k2 = _last_true(_rank2_continues(n), 2, n, int(_B_LIMIT * n))
-    k1 = _last_true(_rank1_continues(k2, n), 1, k2 - 1, int(_A_LIMIT * n))
+    psi = _PsiMemo().__getitem__  # psi(n) and psi(k2) are the same at every tie
+    k2 = _last_true(_rank2_continues(n, psi), 2, n, int(_B_LIMIT * n))
+    k1 = _last_true(_rank1_continues(k2, n, psi), 1, k2 - 1, int(_A_LIMIT * n))
     thresholds = PolicyThresholds(k1, k2 if k1 else 0)
     return SolveResult(thresholds, policy_value(thresholds, n), n, k2)
 

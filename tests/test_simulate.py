@@ -1,8 +1,8 @@
 import collections
 import itertools
 import math
+import warnings
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +19,6 @@ from oracles import (
     realized_outcome,
 )
 
-import shelflife.simulate
 from shelflife.simulate import (
     BLOCK,
     McEstimate,
@@ -27,6 +26,7 @@ from shelflife.simulate import (
     _next_best,
     _next_candidate,
     _payoffs,
+    _rank_classes,
     _uniforms,
     exhaustive_policy_value,
     monte_carlo,
@@ -168,7 +168,7 @@ class TestExhaustivePolicyValue:
         assert best == tuple(solve(n).thresholds)
 
     def test_correctly_rounded_exact_value(self):
-        for n in range(2, 8):
+        for n in range(2, 11):
             for k1 in range(n + 1):
                 for k2 in range(k1, n + 1):
                     exact = float(policy_value_fraction((k1, k2), n))
@@ -183,17 +183,11 @@ class TestExhaustivePolicyValue:
                         n, k1, k2)
 
     @pytest.mark.parametrize("n", [2, 3, 7, 10])
-    def test_traces_each_class_once(self, n, monkeypatch):
-        seqs = []
-
-        def product(*iterables):
-            for seq in itertools.product(*iterables):
-                seqs.append(seq)
-                yield seq
-
-        monkeypatch.setattr(shelflife.simulate, "itertools", SimpleNamespace(product=product))
-        exhaustive_policy_value((1, n - 1), n)
-        assert len(set(seqs)) == len(seqs) == 2 * 3 ** (n - 2)
+    def test_rank_classes_are_distinct_and_weigh_n_factorial(self, n):
+        y, weight = _rank_classes(n)
+        assert len({row.tobytes() for row in y}) == len(y) == 2 * 3 ** (n - 2)
+        assert (y[:, 0] == 1).all() and (y[:, 1] <= 2).all() and y.min() >= 1 and y.max() <= 3
+        assert int(weight.sum()) == math.factorial(n)
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
@@ -239,6 +233,13 @@ class TestMonteCarlo:
         exact = policy_value((9, 9), 10)
         est = monte_carlo(10, (9, 9), 20_000, 0)
         assert abs(est.mean - exact) < 4 * est.std_error
+
+    def test_no_overflow_warning_near_the_horizon_cap(self):
+        # t(t - 1)/u overflows there; the overflow gives the right draw, n + 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = monte_carlo(10**154, (10**153, 5 * 10**153), 10_000, 1)
+        assert 0.0 < est.mean < 1.0
 
     def test_single_trial(self):
         est = monte_carlo(3, (0, 0), 1, 7)

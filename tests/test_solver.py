@@ -22,6 +22,7 @@ from oracles import (
     solve_scan,
 )
 
+from shelflife.asymptotic import phi_limit
 from shelflife.cli import TABLE_NS
 from shelflife.simulate import exhaustive_policy_value, monte_carlo
 from shelflife.solver import (
@@ -42,7 +43,7 @@ from shelflife.solver import (
     solve,
     transition_prob,
 )
-from shelflife.special import harmonic_diff, trigamma_diff
+from shelflife.special import _psi_exact, harmonic_diff, trigamma_diff
 
 
 def permutation_duration_pmf(i, r, n):
@@ -181,10 +182,11 @@ class TestPayoff:
 
     @pytest.mark.parametrize(
         "evaluate",
-        [lambda r: payoff(2, r, 10), lambda r: duration_pmf(2, r, 10)],
-        ids=["payoff", "duration_pmf"],
+        [lambda r: payoff(2, r, 10), lambda r: duration_pmf(2, r, 10),
+         lambda r: phi_limit(0.5, r)],
+        ids=["payoff", "duration_pmf", "phi_limit"],
     )
-    @pytest.mark.parametrize("r", [1.0, 1.5, True, "1"])
+    @pytest.mark.parametrize("r", [1.0, 1.5, 2.0, True, "1"])
     def test_rank_must_be_an_integer(self, evaluate, r):
         with pytest.raises(ValueError):
             evaluate(r)
@@ -572,7 +574,7 @@ class TestHorizonBound:
             fn(*args, n)
 
     def test_largest_horizon_is_finite(self):
-        # solve(10**154) is checked in TestValueAccuracy; it takes about 1.3 s,
+        # solve(10**154) is checked in TestValueAccuracy; it takes about 0.9 s,
         # as nearly every step of its threshold search falls within the tie
         # band and is settled in Decimal
         n = 10**154
@@ -618,6 +620,22 @@ class TestValueAccuracy:
             assert d(k1) < 0 <= d(k1 + 1)
 
 
+def test_near_ties_evaluate_psi_of_each_argument_once(monkeypatch):
+    """At 10^154 nearly every search step is a near-tie, and psi(n) and psi(k2)
+    are the same at each: n is evaluated at most once per search, and the two
+    searches make no more calls than their 1,829 distinct arguments."""
+    calls = []
+
+    def psi_exact(x):
+        calls.append(x)
+        return _psi_exact(x)
+
+    monkeypatch.setattr("shelflife.solver._psi_exact", psi_exact)
+    n = 10**154
+    solve(n)
+    assert calls.count(n) <= 2 and len(calls) <= 1829
+
+
 class TestTieBand:
     """A float margin is re-evaluated in Decimal when it lies within
     _TIE * scale of zero.  That settles every sign the float could get wrong
@@ -634,7 +652,7 @@ class TestTieBand:
         with localcontext() as ctx:
             ctx.prec = len(str(n)) + 30
             for margin, args, scale in cases:
-                error = abs(Decimal(margin(*args)) - margin(*args, exact=True))
+                error = abs(Decimal(margin(*args)) - margin(*args, psi=_psi_exact))
                 assert error < Decimal(_TIE * scale / 100), (margin.__name__, args)
 
     def test_no_tie_at_small_horizons(self):
