@@ -574,7 +574,7 @@ class TestHorizonBound:
             fn(*args, n)
 
     def test_largest_horizon_is_finite(self):
-        # solve(10**154) is checked in TestValueAccuracy; it takes about 0.9 s,
+        # solve(10**154) is checked in TestValueAccuracy; it takes about 0.8 s,
         # as nearly every step of its threshold search falls within the tie
         # band and is settled in Decimal
         n = 10**154
