@@ -19,6 +19,7 @@ from oracles import (
     realized_outcome,
 )
 
+import shelflife.simulate
 from shelflife.simulate import (
     BLOCK,
     McEstimate,
@@ -181,6 +182,21 @@ class TestExhaustivePolicyValue:
                     ev = exhaustive_policy_value((k1, k2), n)
                     assert abs(ev - exhaustive_policy_value_fsum((k1, k2), n)) <= 2.3e-16, (
                         n, k1, k2)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 10])
+    def test_traces_each_class_once(self, n, monkeypatch):
+        traced = []
+
+        def rank_classes(m):
+            y, weight = _rank_classes(m)
+            traced.append(y)
+            return y, weight
+
+        monkeypatch.setattr(shelflife.simulate, "_rank_classes", rank_classes)
+        exhaustive_policy_value((1, n - 1), n)
+        assert len(traced) == 1
+        (y,) = traced
+        assert len({row.tobytes() for row in y}) == len(y) == 2 * 3 ** (n - 2)
 
     @pytest.mark.parametrize("n", [2, 3, 7, 10])
     def test_rank_classes_are_distinct_and_weigh_n_factorial(self, n):
