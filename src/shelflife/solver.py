@@ -14,6 +14,7 @@ r in {1, 2}.  A threshold pair (k1, k2) stops at (k, 1) iff k > k1 and at
 (k, 2) iff k > k2.
 """
 
+import math
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -23,8 +24,10 @@ from ._validate import _check_horizon, _check_int, _check_policy
 from .asymptotic import asymptotic_solution
 from .special import _harmonic_block, _psi_exact, harmonic_diff, trigamma_diff
 
-# The limits a and b of k1/n and k2/n, where the threshold searches start.
+# The searches start from the limits a, b of k1/n, k2/n by the rules floor(a n + delta1), an
+# empirical offset, and floor(b n + delta2), phi(k, 2) = M(k) to order 1/n: exact but at 8 n < 2e4.
 _A_LIMIT, _B_LIMIT, _ = asymptotic_solution()
+_DELTA1, _DELTA2 = 0.0783, (1 - 2 * _B_LIMIT) / (5 - 6 * _B_LIMIT + 2 * math.log(_B_LIMIT))
 
 
 class PolicyThresholds(NamedTuple):
@@ -207,34 +210,37 @@ def _last_true(test, lo, hi, guess):
 _TIE = 1e-12
 
 
-def _rank2_margin(k, n, psi=None):
+def _rank2_margin(k, n, H=None, psi=None):
     """n(M(k) - phi(k, 2)) = 2n(psi(n) - psi(k)) - 3(n - k) - 1, scale n, in
-    float, or in Decimal from psi, an evaluator like _psi_exact; it falls
-    until k = 2n/3 and is <= -1 after."""
-    H = psi(n)[0] - psi(k)[0] if psi else harmonic_diff(k, n)
+    float from H = harmonic_diff(k, n), given or computed, or in Decimal from
+    psi, an evaluator like _psi_exact; it falls until k = 2n/3 and is <= -1 after."""
+    H = psi(n)[0] - psi(k)[0] if psi else harmonic_diff(k, n) if H is None else H
     return 2 * n * H - 3 * (n - k) - 1
 
 
-def _rank1_margin(k, k2, n, psi=None):
+def _rank1_margin(k, k2, n, sums=None, psi=None):
     """(n^2/k)(v~(k, k2) - phi(k, 1)), scale n^2/k, from closed_form_value's
-    D, E and Q, in float or, from psi, in Decimal; on 1..k2-1, as
-    v~(k2, k2) = M(k2) < phi(k2, 1)."""
+    D, E and Q, in float from sums = _sums(k, k2, n), given or computed, or,
+    from psi, in Decimal; on 1..k2-1, as v~(k2, k2) = M(k2) < phi(k2, 1)."""
     if psi:
         (p_k, q_k), (p_k2, q_k2), (p_n, _) = map(psi, (k, k2, n))
         D, E, Q = p_k2 - p_k, p_n - p_k2, q_k - q_k2
     else:
-        D, E = harmonic_diff(k, k2), harmonic_diff(k2, n)
-        Q = 1.0 / (k * k) - 1.0 / (k2 * k2) - trigamma_diff(k, k2)
+        D, E, Q = sums or _sums(k, k2, n)
     return n * (D * (D + 2 * E - 3) - Q) + 2 * D + 3 * k2 - 2 * k - 1 - n
 
 
-def _positive(margin, scale, psi, *args):
-    """margin(*args) > 0; within _TIE * scale of 0, in Decimal at digits(n) + 30."""
-    m = margin(*args)
+def _positive(margin, scale, psi, held, sums, *args):
+    """margin(*args, sums) > 0 from the float sums; within _TIE * scale of 0, in Decimal
+    from psi at digits(n) + 30.  If so, held[0] = sums, unless held is None: as _last_true
+    tests k only above every k that held, after a search held[0] has the answer's sums."""
+    m = margin(*args, sums)
     if abs(m) < _TIE * scale:
         from decimal import Context, localcontext  # only ties need it; 3.10 lacks prec=
         with localcontext(Context(prec=len(str(args[-1])) + 30)):  # args end in n
             m = margin(*args, psi=psi)
+    if m > 0 and held is not None:
+        held[0] = sums
     return m > 0
 
 
@@ -247,12 +253,12 @@ class _PsiMemo(dict):
         return psi
 
 
-def _rank2_continues(n, psi=_psi_exact):  # k -> phi(k, 2) < M(k) on 2..n, an initial segment
-    return lambda k: _positive(_rank2_margin, n, psi, k, n)
+def _rank2_continues(n, psi=_psi_exact, held=None):  # phi(k, 2) < M(k) on 2..n, an initial segment
+    return lambda k: _positive(_rank2_margin, n, psi, held, harmonic_diff(k, n), k, n)
 
 
-def _rank1_continues(k2, n, psi=_psi_exact):  # k -> phi(k, 1) < v~(k, k2) on 1..k2-1
-    return lambda k: _positive(_rank1_margin, n * n / k, psi, k, k2, n)
+def _rank1_continues(k2, n, psi=_psi_exact, E=None, held=None):  # phi(k, 1) < v~(k, k2) on 1..k2-1
+    return lambda k: _positive(_rank1_margin, n * n / k, psi, held, _sums(k, k2, n, E), k, k2, n)
 
 
 def solve(n: int) -> SolveResult:
@@ -261,18 +267,22 @@ def solve(n: int) -> SolveResult:
     Backward induction from w~(n+1) = 0 sets w(k, r) = max(phi(k, r), w~(k+1))
     and w~(k) = [w(k,1) + w(k,2) + (k-2) w~(k+1)]/k; w~(1) is the value.  The
     thresholds k_r = max{k : phi(k, r) < w~(k+1)} are each the one sign change
-    of a closed form, searched from the limits a n and b n: w~(k+1) = M(k) for
-    k >= k2, and v~(k, k2) below.  The value is :func:`policy_value` of the
+    of a closed form, searched from the second-order rules floor(a n + delta1)
+    and floor(b n + delta2): w~(k+1) = M(k) for k >= k2, and v~(k, k2) below.
+    The value is the closed form v~(k1, k2) from the float D, E and Q of the
+    test at k1 (E from the test at k2), bit for bit :func:`policy_value` of the
     thresholds.  A policy with k1 = 0 stops at the first item and never
     consults k2, so it is reported canonically as (0, 0).  Ties between
     stopping and continuing are resolved by stopping.
     """
     n = _check_horizon(n)
     psi = _PsiMemo().__getitem__  # psi(n) and psi(k2) are the same at every tie
-    k2 = _last_true(_rank2_continues(n, psi), 2, n, int(_B_LIMIT * n))
-    k1 = _last_true(_rank1_continues(k2, n, psi), 1, k2 - 1, int(_A_LIMIT * n))
-    thresholds = PolicyThresholds(k1, k2 if k1 else 0)
-    return SolveResult(thresholds, policy_value(thresholds, n), n, k2)
+    at_k2, at_k1 = [None], [None]  # the float sums of the tests at k2 and at k1
+    k2 = _last_true(_rank2_continues(n, psi, at_k2), 2, n, int(_B_LIMIT * n + _DELTA2))
+    k1 = _last_true(_rank1_continues(k2, n, psi, at_k2[0], at_k1), 1, k2 - 1,
+                    int(_A_LIMIT * n + _DELTA1))
+    value = _closed_form(*at_k1[0], k1, k2, n) if k1 else payoff(1, 1, n)
+    return SolveResult(PolicyThresholds(k1, k2 if k1 else 0), value, n, k2)
 
 
 def policy_value(policy, n: int) -> float:
@@ -307,7 +317,17 @@ def closed_form_value(k1: int, k2: int, n: int) -> float:
     k2 = _check_int(k2, "k2")
     if not 1 <= k1 < k2 <= n:
         raise ValueError(f"need 1 <= k1 < k2 <= n, got ({k1}, {k2}) with n={n}")
-    D, E = harmonic_diff(k1, k2), harmonic_diff(k2, n)
-    Q = 1.0 / (k1 * k1) - 1.0 / (k2 * k2) - trigamma_diff(k1, k2)
+    return _closed_form(*_sums(k1, k2, n), k1, k2, n)
+
+
+def _sums(k1, k2, n, E=None):
+    """The float D = psi(k2) - psi(k1), E = psi(n) - psi(k2), computed unless
+    given, and Q = sum_{m=k1}^{k2-1} 1/m^2 of the closed form v~(k1, k2)."""
+    D = harmonic_diff(k1, k2)
+    E = harmonic_diff(k2, n) if E is None else E
+    return D, E, 1.0 / (k1 * k1) - 1.0 / (k2 * k2) - trigamma_diff(k1, k2)
+
+
+def _closed_form(D, E, Q, k1, k2, n):  # see closed_form_value
     head = (k1 / n**2) * ((2.0 - n) * D + (k2 - k1) + n * (D * D - Q) + 2.0 * n * D * E)
     return head + 2.0 * k1 * k2 / n**2 - 2.0 * k1 / n + (2.0 * k1 / n) * E

@@ -5,7 +5,8 @@ sums of 1/j and 1/j**2.  Each costs O(1): math.fsum adds the terms below
 argument 32 exactly, and the asymptotic series of psi and psi_1 through B_14
 (first omitted term below 1e-24 from 32 on) gives the rest, with its leading
 differences as exact rationals rounded once: psi within 2 ulp, psi_1 within
-1e-16.  `_harmonic_block` evaluates the same psi series over an array of k.
+1e-16.  `_series`, one Horner expression, also gives `_harmonic_block` the psi
+series over an array of k and `_psi_exact` both series in Decimal.
 """
 
 import math
@@ -22,12 +23,9 @@ _PSI_FLOAT = tuple(p / (2 * j * q) for j, (p, q) in enumerate(_BERNOULLI, 1))
 _PSI1_FLOAT = tuple(p / q for p, q in _BERNOULLI)
 
 
-def _series(coeffs, y):
-    """sum_j coeffs[j-1] y^j, by Horner (y = 1/x^2)."""
-    s = 0
-    for c in reversed(coeffs):
-        s = (s + c) * y
-    return s
+def _series(c, y):
+    """sum_j c[j-1] y^j for j = 1..7, by Horner (y = 1/x^2): floats, arrays or Decimals."""
+    return ((((((c[6] * y + c[5]) * y + c[4]) * y + c[3]) * y + c[2]) * y + c[1]) * y + c[0]) * y
 
 
 def harmonic_diff(k: int, n: int) -> float:
@@ -39,12 +37,13 @@ def harmonic_diff(k: int, n: int) -> float:
     n = _check_int(n, "n")
     if not 1 <= k <= n <= MAX_HORIZON:
         raise ValueError(f"harmonic_diff needs 1 <= k <= n <= 10**154, got k={k}, n={n}")
-    lo = n if n - k < _SERIES_FROM else max(k, _SERIES_FROM)
-    terms = [1.0 / j for j in range(k, lo)]
-    if lo < n:  # psi(n) - psi(lo)
-        terms += [math.log1p((n - lo) / lo), (n - lo) / (2 * n * lo),
-                  _series(_PSI_FLOAT, 1.0 / (lo * lo)), -_series(_PSI_FLOAT, 1.0 / (n * n))]
-    return math.fsum(terms)
+    if n - k < _SERIES_FROM:
+        return math.fsum([1.0 / j for j in range(k, n)])
+    lo = max(k, _SERIES_FROM)  # psi(n) - psi(lo) by the series
+    terms = (math.log1p((n - lo) / lo), (n - lo) / (2 * n * lo),
+             _series(_PSI_FLOAT, 1.0 / (lo * lo)), -_series(_PSI_FLOAT, 1.0 / (n * n)))
+    head = range(k, lo)  # 1/j below lo, exactly
+    return math.fsum([*terms, *(1.0 / j for j in head)] if head else terms)
 
 
 def _harmonic_block(k, n):
@@ -66,14 +65,14 @@ def trigamma_diff(k: int, s: int) -> float:
     s = _check_int(s, "s")
     if not 1 <= k <= s <= MAX_HORIZON:
         raise ValueError(f"trigamma_diff needs 1 <= k <= s <= 10**154, got k={k}, s={s}")
-    hi = s + 1
-    lo = hi if hi - (k + 1) < _SERIES_FROM else max(k + 1, _SERIES_FROM)
-    terms = [1.0 / (j * j) for j in range(k + 1, lo)]
-    if lo < hi:  # psi_1(lo) - psi_1(hi)
-        terms += [(hi - lo) / (lo * hi), (hi * hi - lo * lo) / (2 * (lo * hi) ** 2),
-                  _series(_PSI1_FLOAT, 1.0 / (lo * lo)) / lo,
-                  -_series(_PSI1_FLOAT, 1.0 / (hi * hi)) / hi]
-    return 0.0 - math.fsum(terms)  # 0.0 - keeps the empty sum at +0.0
+    if s - k < _SERIES_FROM:  # 0.0 - keeps the empty sum at +0.0
+        return 0.0 - math.fsum([1.0 / (j * j) for j in range(k + 1, s + 1)])
+    hi, lo = s + 1, max(k + 1, _SERIES_FROM)  # psi_1(lo) - psi_1(hi) by the series
+    terms = ((hi - lo) / (lo * hi), (hi * hi - lo * lo) / (2 * (lo * hi) ** 2),
+             _series(_PSI1_FLOAT, 1.0 / (lo * lo)) / lo,
+             -_series(_PSI1_FLOAT, 1.0 / (hi * hi)) / hi)
+    head = range(k + 1, lo)  # 1/j^2 below lo, exactly
+    return -math.fsum([*terms, *(1.0 / (j * j) for j in head)] if head else terms)
 
 
 def _psi_exact(x):
