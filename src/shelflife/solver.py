@@ -24,8 +24,8 @@ from ._validate import _check_horizon, _check_int, _check_policy
 from .asymptotic import asymptotic_solution
 from .special import _harmonic_block, _psi_exact, harmonic_diff, trigamma_diff
 
-# The searches start from the limits a, b of k1/n, k2/n by the rules floor(a n + delta1), an
-# empirical offset, and floor(b n + delta2), phi(k, 2) = M(k) to order 1/n: exact but at 8 n < 2e4.
+# The searches start at floor(a n + delta1) and floor(b n + delta2), for the limits a, b of k1/n,
+# k2/n: delta1 is empirical, delta2 solves phi(k, 2) = M(k) to order 1/n (see TestThresholdRules).
 _A_LIMIT, _B_LIMIT, _ = asymptotic_solution()
 _DELTA1, _DELTA2 = 0.0783, (1 - 2 * _B_LIMIT) / (5 - 6 * _B_LIMIT + 2 * math.log(_B_LIMIT))
 

@@ -374,9 +374,15 @@ class TestBackwardInductionKernel:
         )
 
     def test_policy_value_of_optimum_is_the_value(self):
-        for n in list(range(2, 400)) + [10**4, 10**6]:
+        """solve reads its value from the float sums of its searches' tests, not
+        from policy_value, and must still equal it bit for bit: k1 = 0 (n < 9),
+        300 random horizons up to 10^16 and the near-tie horizons included."""
+        rng = random.Random(20261018)
+        ns = list(range(2, 400)) + [10**4, 10**6] + [rng.randint(2, 10**16) for _ in range(300)]
+        for n in ns + [10**12, 10**15, 10**50, 10**80, 10**154]:
             res = solve(n)
-            assert policy_value(res.thresholds, n) == res.value, n
+            assert res.value.hex() == policy_value(res.thresholds, n).hex(), n
+        assert [n for n in range(2, 400) if solve(n).thresholds.k1 == 0] == list(range(2, 9))
 
     @given(st.integers(9, 3000))
     @settings(max_examples=100, deadline=None)
@@ -428,6 +434,39 @@ class TestThresholdSearch:
             k2 = self.search_from_guesses(_rank2_continues(n), 2, n, rng)
             k1 = self.search_from_guesses(_rank1_continues(k2, n), 1, k2 - 1, rng)
             assert solve(n).thresholds == (k1, k2 if k1 else 0), n
+
+    # n in 10..20000 where the rules floor(bn + delta2) and floor(an + 0.0783) miss
+    # (tests/test_asymptotic.py::TestThresholdRules)
+    K2_MISSES, K1_MISSES = {57}, {16, 41, 124, 531, 7243, 8082, 19936}
+
+    def test_each_search_tests_its_answer_and_the_next_k(self, monkeypatch):
+        """Started at the second-order rules, each search evaluates its margin
+        at the answer and one above, wherever the rule is exact.  psi(n) -
+        psi(k2) is computed once, by the test at k2, and the value needs
+        neither policy_value nor closed_form_value."""
+        calls = []
+
+        def harmonic(k, n):
+            calls.append((k, n))
+            return harmonic_diff(k, n)
+
+        def not_called(*args):
+            raise AssertionError(f"called with {args}")
+
+        monkeypatch.setattr("shelflife.solver.harmonic_diff", harmonic)
+        monkeypatch.setattr("shelflife.solver.policy_value", not_called)
+        monkeypatch.setattr("shelflife.solver.closed_form_value", not_called)
+        for n in range(10, 20001):
+            calls.clear()
+            k1, k2 = solve(n).thresholds
+            assert calls.count((k2, n)) == 1, n
+            rank2 = [c for c in calls if c[1] == n]  # psi(n) - psi(k) of the k2 search
+            rank1 = [c for c in calls if c[1] == k2]  # psi(k2) - psi(k) of the k1 search
+            assert len(rank2) + len(rank1) == len(calls), n
+            if n not in self.K2_MISSES:
+                assert rank2 == [(k2, n), (k2 + 1, n)], n
+            if n not in self.K1_MISSES:
+                assert rank1 == [(k1, k2), (k1 + 1, k2)], n
 
     def test_no_length_n_array(self):
         tracemalloc.start()

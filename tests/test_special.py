@@ -153,6 +153,71 @@ class TestSeriesAgainstMpmath:
             assert math.copysign(1.0, trigamma_diff(k, k)) == 1.0
 
 
+# .hex() of the three float routes at fixed arguments, recorded before the series
+# was unrolled: both sides of argument 32, k = n, the thresholds near 10^6 and
+# 10^15, and the 10^154 cap.  A rewrite of the series or of the closed form
+# must keep every bit.
+CAP = 10**154
+GOLDEN_BITS = [
+    (harmonic_diff, (5, 5), "0x0.0p+0"),
+    (harmonic_diff, (1, 2), "0x1.0000000000000p+0"),
+    (harmonic_diff, (1, 31), "0x1.ff5bbd019f39cp+1"),
+    (harmonic_diff, (1, 32), "0x1.01be62a1d7defp+2"),
+    (harmonic_diff, (1, 33), "0x1.03be62a1d7defp+2"),
+    (harmonic_diff, (2, 34), "0x1.8b5dbd81bf41cp+1"),
+    (harmonic_diff, (31, 63), "0x1.6f4fceafcd2b5p-1"),
+    (harmonic_diff, (32, 63), "0x1.5ecbada78b1adp-1"),
+    (harmonic_diff, (31, 64), "0x1.777050b7edad5p-1"),
+    (harmonic_diff, (32, 64), "0x1.66ec2fafab9cdp-1"),
+    (harmonic_diff, (33, 65), "0x1.5eec2fafab9cep-1"),
+    (harmonic_diff, (12, 41), "0x1.4237ea3894a77p+0"),
+    (harmonic_diff, (41, 100), "0x1.cc34086518649p-1"),
+    (harmonic_diff, (1, 10**6), "0x1.cc91358900333p+3"),
+    (harmonic_diff, (120381, 417188), "0x1.3e2d440bede5fp+0"),
+    (harmonic_diff, (417188, 10**6), "0x1.bf99a2974ccc4p-1"),
+    (harmonic_diff, (999969, 10**6), "0x1.040d0eea467d4p-15"),
+    (harmonic_diff, (10**6, 10**6), "0x0.0p+0"),
+    (harmonic_diff, (1, CAP), "0x1.632ce1c546239p+8"),
+    (harmonic_diff, (31, CAP), "0x1.5f2e2a4b42e52p+8"),
+    (harmonic_diff, (CAP // 10, CAP), "0x1.26bb1bbb55516p+1"),
+    (harmonic_diff, (CAP - 31, CAP), "0x1.4c837db13bcadp-507"),
+    (harmonic_diff, (CAP - 32, CAP), "0x1.573d68f903ea2p-507"),
+    (trigamma_diff, (4, 4), "0x0.0p+0"),
+    (trigamma_diff, (1, 2), "-0x1.0000000000000p-2"),
+    (trigamma_diff, (1, 32), "-0x1.3a7421a83d52bp-1"),
+    (trigamma_diff, (1, 33), "-0x1.3aec7dcecad71p-1"),
+    (trigamma_diff, (31, 62), "-0x1.01f1e58df0aa8p-6"),
+    (trigamma_diff, (30, 62), "-0x1.12fe6abfc13fbp-6"),
+    (trigamma_diff, (31, 63), "-0x1.0612a9a25272bp-6"),
+    (trigamma_diff, (32, 64), "-0x1.f4255344a4e55p-7"),
+    (trigamma_diff, (12, 41), "-0x1.c99f8ade5f349p-5"),
+    (trigamma_diff, (120381, 417188), "-0x1.8c9bc2779fbb7p-18"),
+    (trigamma_diff, (1, 10**6), "-0x1.4a34aabc72d27p-1"),
+    (trigamma_diff, (999969, 10**6), "-0x1.10afe3723defcp-35"),
+    (trigamma_diff, (1, CAP), "-0x1.4a34cc4a60fa6p-1"),
+    (trigamma_diff, (CAP // 10, CAP), "-0x1.8225161824676p-509"),
+    (closed_form_value, (1, 2, 2), "0x1.0000000000000p-2"),
+    (closed_form_value, (1, 3, 10), "0x1.0c892ef955fbcp-1"),
+    (closed_form_value, (3, 4, 10), "0x1.8bc8bc8bc8bc8p-2"),
+    (closed_form_value, (12, 41, 100), "0x1.a906975a82f68p-2"),
+    (closed_form_value, (120, 417, 1000), "0x1.9ea9a32b5d6bbp-2"),
+    (closed_form_value, (31, 33, 300), "0x1.31bb5957a6108p-2"),
+    (closed_form_value, (32, 64, 65), "0x1.393da4e37ae12p-3"),
+    (closed_form_value, (120381, 417188, 10**6), "0x1.9d850b31917ddp-2"),
+    (closed_form_value, (1, 10**6, 10**6), "0x1.92e3d70c622c7p-13"),
+    (closed_form_value, (999969, 10**6, 10**6), "0x1.10ae800000000p-31"),
+    (closed_form_value, (120381306662926, 417188356134188, 10**15), "0x1.9d84c0562e159p-2"),
+    (closed_form_value, (120381 * 10**148, 417188 * 10**148, CAP), "0x1.9d84c0562b66cp-2"),
+    (closed_form_value, (CAP // 10, 4 * CAP // 10, CAP), "0x1.9a7af3c986386p-2"),
+]
+
+
+@pytest.mark.parametrize("fn, args, bits", GOLDEN_BITS,
+                         ids=[f"{fn.__name__}-{i}" for i, (fn, _, _) in enumerate(GOLDEN_BITS)])
+def test_bits_match_recorded_values(fn, args, bits):
+    assert fn(*args).hex() == bits
+
+
 class TestPsiExact:
     """The Decimal psi and psi_1 behind the solver's near-tie margins, at the
     solver's precision rule (digits(x) + 30) against mpmath 40 digits beyond.
