@@ -52,7 +52,9 @@ def limit_value_function(x: float, b: float) -> float:
     """v~(x, b) = integral_x^b (x/t^2) phi(t, 1) dt + (x/b) Tphi_limit(b),
 
     evaluated through the exact antiderivative x*(t - log^2 t - log t)."""
-    if x <= 0.0 or x > b:
+    if not 0.0 < b <= 1.0:
+        raise ValueError(f"b must be in (0, 1], got {b}")
+    if not 0.0 < x <= b:
         raise ValueError(f"x must be in (0, b], got x={x}, b={b}")
     return x * (_antiderivative(b) - _antiderivative(x)) + (x / b) * mean_operator_limit(b)
 

@@ -121,13 +121,13 @@ def cmd_table(args):
             raise ValueError("--ns list is empty")
     else:
         ns = list(TABLE_NS)
-    w = _csv_writer()
-    w.writerow(["N", "k1", "k2", "v_N"])
+    rows = [["N", "k1", "k2", "v_N"]]  # all built before the first byte, so a bad n writes none
     for n in ns:
         res = solver.solve(n)
-        w.writerow([n, res.thresholds.k1, res.thresholds.k2, f"{res.value:.6f}"])
+        rows.append([n, res.thresholds.k1, res.thresholds.k2, f"{res.value:.6f}"])
     sol = asymptotic.asymptotic_solution()
-    w.writerow(["inf", f"{sol.a:.6f}", f"{sol.b:.6f}", f"{sol.value:.6f}"])
+    rows.append(["inf", f"{sol.a:.6f}", f"{sol.b:.6f}", f"{sol.value:.6f}"])
+    _csv_writer().writerows(rows)
     return 0
 
 

@@ -185,22 +185,22 @@ def _continuation(k2, n):
     return cont
 
 
-def _last_true(test, lo, hi, guess):
-    """Largest k in lo..hi with test(k), or 0 if none, for a test that holds
-    on an initial segment of lo..hi.  Gallops from the guess by doubling steps
-    until the sign change is bracketed, then bisects; the guess sets only the
-    cost, O(log |answer - guess|) tests, never the answer."""
+def _last_true(test, lo, hi, guess, *args):
+    """(k, test(k, *args)) at the largest k in lo..hi where the test holds, or (0, None);
+    the test returns None where it fails and holds on an initial segment.  Gallops from
+    the guess by doubling steps until the sign change is bracketed, then bisects: the
+    guess sets only the cost, O(log |answer - guess|) tests, never the answer."""
     good, bad = lo - 1, hi + 1  # the test is taken to hold at lo - 1 and fail at hi + 1
-    k, step = min(max(guess, lo), hi), 1
+    k, step, held = min(max(guess, lo), hi), 1, None
     while bad - good > 1:
         if not good < k < bad:  # bracketed: bisect from here on
             k, step = (good + bad) // 2, 0
-        if test(k):
-            good, k = k, k + step
+        if (result := test(k, *args)) is not None:
+            good, held, k = k, result, k + step
         else:
             bad, k = k, k - step
         step *= 2
-    return good if good >= lo else 0
+    return good if good >= lo else 0, held
 
 
 # Float margins within _TIE * scale of 0 are evaluated again in Decimal.  Float error:
@@ -210,38 +210,16 @@ def _last_true(test, lo, hi, guess):
 _TIE = 1e-12
 
 
-def _rank2_margin(k, n, H=None, psi=None):
-    """n(M(k) - phi(k, 2)) = 2n(psi(n) - psi(k)) - 3(n - k) - 1, scale n, in
-    float from H = harmonic_diff(k, n), given or computed, or in Decimal from
-    psi, an evaluator like _psi_exact; it falls until k = 2n/3 and is <= -1 after."""
-    H = psi(n)[0] - psi(k)[0] if psi else harmonic_diff(k, n) if H is None else H
+def _rank2_margin(k, n, H):
+    """n(M(k) - phi(k, 2)) = 2n(psi(n) - psi(k)) - 3(n - k) - 1, scale n, from
+    H = psi(n) - psi(k) in float or Decimal; it falls until k = 2n/3 and is <= -1 after."""
     return 2 * n * H - 3 * (n - k) - 1
 
 
-def _rank1_margin(k, k2, n, sums=None, psi=None):
-    """(n^2/k)(v~(k, k2) - phi(k, 1)), scale n^2/k, from closed_form_value's
-    D, E and Q, in float from sums = _sums(k, k2, n), given or computed, or,
-    from psi, in Decimal; on 1..k2-1, as v~(k2, k2) = M(k2) < phi(k2, 1)."""
-    if psi:
-        (p_k, q_k), (p_k2, q_k2), (p_n, _) = map(psi, (k, k2, n))
-        D, E, Q = p_k2 - p_k, p_n - p_k2, q_k - q_k2
-    else:
-        D, E, Q = sums or _sums(k, k2, n)
+def _rank1_margin(k, k2, n, D, E, Q):
+    """(n^2/k)(v~(k, k2) - phi(k, 1)), scale n^2/k, from closed_form_value's D, E and Q
+    of (k, k2) in float or Decimal; tested on 1..k2-1, as v~(k2, k2) = M(k2) < phi(k2, 1)."""
     return n * (D * (D + 2 * E - 3) - Q) + 2 * D + 3 * k2 - 2 * k - 1 - n
-
-
-def _positive(margin, scale, psi, held, sums, *args):
-    """margin(*args, sums) > 0 from the float sums; within _TIE * scale of 0, in Decimal
-    from psi at digits(n) + 30.  If so, held[0] = sums, unless held is None: as _last_true
-    tests k only above every k that held, after a search held[0] has the answer's sums."""
-    m = margin(*args, sums)
-    if abs(m) < _TIE * scale:
-        from decimal import Context, localcontext  # only ties need it; 3.10 lacks prec=
-        with localcontext(Context(prec=len(str(args[-1])) + 30)):  # args end in n
-            m = margin(*args, psi=psi)
-    if m > 0 and held is not None:
-        held[0] = sums
-    return m > 0
 
 
 class _PsiMemo(dict):
@@ -253,12 +231,32 @@ class _PsiMemo(dict):
         return psi
 
 
-def _rank2_continues(n, psi=_psi_exact, held=None):  # phi(k, 2) < M(k) on 2..n, an initial segment
-    return lambda k: _positive(_rank2_margin, n, psi, held, harmonic_diff(k, n), k, n)
+def _decimal(n):  # the context that settles the near-ties of horizon n, at digits(n) + 30
+    from decimal import Context, localcontext  # only ties need it; 3.10 lacks prec=
+    return localcontext(Context(prec=len(str(n)) + 30))
 
 
-def _rank1_continues(k2, n, psi=_psi_exact, E=None, held=None):  # phi(k, 1) < v~(k, k2) on 1..k2-1
-    return lambda k: _positive(_rank1_margin, n * n / k, psi, held, _sums(k, k2, n, E), k, k2, n)
+def _rank2_continues(k, n, psi):
+    """H = psi(n) - psi(k) in float where phi(k, 2) < M(k), an initial segment of 2..n,
+    else None; a margin within _TIE * n of 0 is settled in Decimal from psi(n), psi(k)."""
+    H = harmonic_diff(k, n)
+    m = _rank2_margin(k, n, H)
+    if abs(m) < _TIE * n:
+        with _decimal(n):
+            m = _rank2_margin(k, n, psi(n)[0] - psi(k)[0])
+    return H if m > 0 else None
+
+
+def _rank1_continues(k, k2, n, psi, E):
+    """(D, E, Q) = _sums(k, k2, n, E) in float where phi(k, 1) < v~(k, k2), an initial
+    segment of 1..k2-1, else None; within _TIE * n^2/k of 0, settled in Decimal from psi."""
+    sums = _sums(k, k2, n, E)
+    m = _rank1_margin(k, k2, n, *sums)
+    if abs(m) < _TIE * n * n / k:
+        with _decimal(n):
+            (p_k, q_k), (p_k2, q_k2), (p_n, _) = map(psi, (k, k2, n))
+            m = _rank1_margin(k, k2, n, p_k2 - p_k, p_n - p_k2, q_k - q_k2)
+    return sums if m > 0 else None
 
 
 def solve(n: int) -> SolveResult:
@@ -269,19 +267,18 @@ def solve(n: int) -> SolveResult:
     thresholds k_r = max{k : phi(k, r) < w~(k+1)} are each the one sign change
     of a closed form, searched from the second-order rules floor(a n + delta1)
     and floor(b n + delta2): w~(k+1) = M(k) for k >= k2, and v~(k, k2) below.
-    The value is the closed form v~(k1, k2) from the float D, E and Q of the
-    test at k1 (E from the test at k2), bit for bit :func:`policy_value` of the
-    thresholds.  A policy with k1 = 0 stops at the first item and never
-    consults k2, so it is reported canonically as (0, 0).  Ties between
-    stopping and continuing are resolved by stopping.
+    Each search returns the float sums of its test at its answer: E = psi(n) -
+    psi(k2) from the k2 search serves every k1 test, and the value is the
+    closed form v~(k1, k2) from the D, E and Q of the test at k1, bit for bit
+    :func:`policy_value` of the thresholds.  A policy with k1 = 0 stops at the
+    first item and never consults k2, so it is reported canonically as (0, 0).
+    Ties between stopping and continuing are resolved by stopping.
     """
     n = _check_horizon(n)
     psi = _PsiMemo().__getitem__  # psi(n) and psi(k2) are the same at every tie
-    at_k2, at_k1 = [None], [None]  # the float sums of the tests at k2 and at k1
-    k2 = _last_true(_rank2_continues(n, psi, at_k2), 2, n, int(_B_LIMIT * n + _DELTA2))
-    k1 = _last_true(_rank1_continues(k2, n, psi, at_k2[0], at_k1), 1, k2 - 1,
-                    int(_A_LIMIT * n + _DELTA1))
-    value = _closed_form(*at_k1[0], k1, k2, n) if k1 else payoff(1, 1, n)
+    k2, E = _last_true(_rank2_continues, 2, n, int(_B_LIMIT * n + _DELTA2), n, psi)
+    k1, sums = _last_true(_rank1_continues, 1, k2 - 1, int(_A_LIMIT * n + _DELTA1), k2, n, psi, E)
+    value = _closed_form(*sums, k1, k2, n) if k1 else payoff(1, 1, n)
     return SolveResult(PolicyThresholds(k1, k2 if k1 else 0), value, n, k2)
 
 

@@ -105,6 +105,14 @@ class TestLimitValueFunction:
         with pytest.raises(ValueError):
             limit_value_function(b + 0.01, b)
 
+    @pytest.mark.parametrize("x, b, bad", [
+        (math.nan, 0.4, "x"), (0.5, 0.4, "x"), (-0.1, 0.4, "x"),
+        (0.1, math.nan, "b"), (0.1, 2.0, "b"), (0.1, 0.0, "b"), (-0.2, -0.1, "b"),
+    ])
+    def test_bad_argument_is_named(self, x, b, bad):
+        with pytest.raises(ValueError, match=f"^{bad} must be in"):
+            limit_value_function(x, b)
+
 
 class TestSolveA:
     def test_reference_value(self):

@@ -168,6 +168,12 @@ class TestTableCommand:
         assert code == 2
         assert "--ns" in err
 
+    @pytest.mark.parametrize("ns", ["10,1", f"10,{10**155}"], ids=["1", "1e155"])
+    def test_bad_horizon_after_a_good_one_writes_nothing(self, capsys, ns):
+        code, out, err = run_cli(["table", "--ns", ns], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
     def test_matches_subprocess_entry_point(self, capsys):
         proc = subprocess.run(
             [sys.executable, "-m", "shelflife", "table"],

@@ -35,6 +35,7 @@ from shelflife.solver import (
     _rank1_margin,
     _rank2_continues,
     _rank2_margin,
+    _sums,
     closed_form_value,
     duration_pmf,
     mean_operator,
@@ -407,33 +408,38 @@ class TestThresholdSearch:
         for hi in range(lo - 1, lo + 20):
             for cut in range(lo - 1, hi + 1):
 
-                def test(k, cut=cut, hi=hi):
+                def test(k, tag, cut=cut, hi=hi):
                     assert lo <= k <= hi
-                    return k <= cut
+                    return (tag, k) if k <= cut else None
 
+                want = (cut, ("tag", cut)) if cut >= lo else (0, None)
                 for guess in range(lo - 3, hi + 4):
-                    got = _last_true(test, lo, hi, guess)
-                    assert got == (cut if cut >= lo else 0), (hi, cut, guess)
+                    got = _last_true(test, lo, hi, guess, "tag")
+                    assert got == want, (hi, cut, guess)
 
     @pytest.mark.parametrize("n", [10**6, 10**7])
     def test_matches_scan(self, n):
         assert solve(n).thresholds == solve_scan(n)
 
     @staticmethod
-    def search_from_guesses(test, lo, hi, rng):
-        """The one answer of the search from lo, hi and 20 random guesses."""
+    def search_from_guesses(test, lo, hi, rng, *args):
+        """The one (answer, result of the test there) of the search from lo, hi
+        and 20 random guesses."""
         test = functools.cache(test)  # only shares evaluations between the searches
         guesses = [lo, hi] + [rng.randint(lo, max(lo, hi)) for _ in range(20)]
-        found = {_last_true(test, lo, hi, g) for g in guesses}
+        found = {_last_true(test, lo, hi, g, *args) for g in guesses}
         assert len(found) == 1, (lo, hi, found)
         return found.pop()
 
     def test_answer_does_not_depend_on_the_guess(self):
         rng = random.Random(20260814)
         for n in range(2, 3001):
-            k2 = self.search_from_guesses(_rank2_continues(n), 2, n, rng)
-            k1 = self.search_from_guesses(_rank1_continues(k2, n), 1, k2 - 1, rng)
+            k2, E = self.search_from_guesses(_rank2_continues, 2, n, rng, n, _psi_exact)
+            k1, sums = self.search_from_guesses(_rank1_continues, 1, k2 - 1, rng,
+                                                k2, n, _psi_exact, E)
             assert solve(n).thresholds == (k1, k2 if k1 else 0), n
+            if k1:  # the sums of the test at each answer
+                assert (E, sums) == (harmonic_diff(k2, n), _sums(k1, k2, n)), n
 
     # n in 10..20000 where the rules floor(bn + delta2) and floor(an + 0.0783) miss
     # (tests/test_asymptotic.py::TestThresholdRules)
@@ -476,6 +482,89 @@ class TestThresholdSearch:
         finally:
             tracemalloc.stop()
         assert peak < 1e6
+
+
+# (n, k1, k2, value.hex()) of solve, recorded so that no rewrite of the threshold search
+# drifts silently: k1 = 0 up to 8, the table rows, the horizons where the second-order
+# rules miss (TestThresholdSearch), two horizons where the float sign alone gives a wrong
+# k2 (TestValueAccuracy), 2^53 and the huge horizons, where nearly every search step is
+# settled in Decimal.
+GOLDEN_SOLVE = [
+    (2, 0, 0, "0x1.0000000000000p+0"),
+    (3, 0, 0, "0x1.c71c71c71c71cp-1"),
+    (4, 0, 0, "0x1.9555555555555p-1"),
+    (5, 0, 0, "0x1.6d3a06d3a06d5p-1"),
+    (6, 0, 0, "0x1.4ccccccccccccp-1"),
+    (7, 0, 0, "0x1.3227b4c470d96p-1"),
+    (8, 0, 0, "0x1.1be2be2be2be3p-1"),
+    (9, 1, 3, "0x1.11b8a9c37fc62p-1"),
+    (10, 1, 4, "0x1.0e17f2903a14ap-1"),
+    (16, 1, 6, "0x1.e710c378d2b3ep-2"),
+    (20, 2, 8, "0x1.db807cdadf1c9p-2"),
+    (30, 3, 12, "0x1.c59ba2106597ap-2"),
+    (40, 4, 16, "0x1.bab36c4eb7048p-2"),
+    (41, 4, 17, "0x1.b98c88d68b1c0p-2"),
+    (50, 6, 21, "0x1.b4a4f7cd02501p-2"),
+    (57, 6, 23, "0x1.b1c453001aa04p-2"),
+    (60, 7, 25, "0x1.b0fe9c1a4201ap-2"),
+    (70, 8, 29, "0x1.ae39b79f6e903p-2"),
+    (80, 9, 33, "0x1.ac0e8479b538cp-2"),
+    (90, 10, 37, "0x1.aa505ebfecc88p-2"),
+    (100, 12, 41, "0x1.a906975a82f68p-2"),
+    (124, 14, 51, "0x1.a6bee57e9857ap-2"),
+    (200, 24, 83, "0x1.a341d09de619bp-2"),
+    (500, 60, 208, "0x1.9fcf1cf79f27ap-2"),
+    (531, 63, 221, "0x1.9fabb0a26a1fcp-2"),
+    (1000, 120, 417, "0x1.9ea9a32b5d6bbp-2"),
+    (7243, 871, 3021, "0x1.9dad1fb8c4018p-2"),
+    (8082, 972, 3371, "0x1.9da8eec2f526fp-2"),
+    (10**4, 1203, 4172, "0x1.9da1fe97f0f0ap-2"),
+    (19936, 2399, 8317, "0x1.9d936b3e603dep-2"),
+    (20000, 2407, 8343, "0x1.9d935f6ef4952p-2"),
+    (10**5, 12038, 41719, "0x1.9d87ace9ec9aep-2"),
+    (10**6, 120381, 417188, "0x1.9d850b31917ddp-2"),
+    (10**7, 1203813, 4171883, "0x1.9d84c7d284196p-2"),
+    (10**9, 120381306, 417188356, "0x1.9d84c06957e64p-2"),
+    (10**12, 120381306663, 417188356134, "0x1.9d84c05632fc6p-2"),
+    (5662304048378, 681635560066, 2362247317875, "0x1.9d84c0562ef22p-2"),
+    (10**15, 120381306662927, 417188356134188, "0x1.9d84c0562e159p-2"),
+    (7690721099070565, 925819055086256, 3208479292807769, "0x1.9d84c0562e14ap-2"),
+    (2**53, 1084298415659062, 3757698650458483, "0x1.9d84c0562e14ap-2"),
+    (2**53 + 1, 1084298415659062, 3757698650458483, "0x1.9d84c0562e146p-2"),
+    (10**16, 1203813066629269, 4171883561341886, "0x1.9d84c0562e14ap-2"),
+    (10**20, 12038130666292696345, 41718835613418861396, "0x1.9d84c0562e148p-2"),
+    (10**30,
+     120381306662926963453899672925,
+     417188356134188613958923989446,
+     "0x1.9d84c0562e148p-2"),
+    (10**45,
+     120381306662926963453899672925408769128615020,
+     417188356134188613958923989446229795872254327,
+     "0x1.9d84c0562e148p-2"),
+    (10**50,
+     12038130666292696345389967292540876912861502022237,
+     41718835613418861395892398944622979587225432701833,
+     "0x1.9d84c0562e148p-2"),
+    (10**80,
+     12038130666292696345389967292540876912861502022237063575837925011610102186035182,
+     41718835613418861395892398944622979587225432701832894849049733155389292111132939,
+     "0x1.9d84c0562e146p-2"),
+    (10**100,
+     1203813066629269634538996729254087691286150202223706357583792501161010218603518212790350013830095569,
+     4171883561341886139589239894462297958722543270183289484904973315538929211113293962399040175503720036,
+     "0x1.9d84c0562e148p-2"),
+    (10**154,
+     1203813066629269634538996729254087691286150202223706357583792501161010218603518212790350013830095569317484687500114756878458015429541976780459944288666890,
+     4171883561341886139589239894462297958722543270183289484904973315538929211113293962399040175503720036597577030270087145829757292996998047620597241103158683,
+     "0x1.9d84c0562e147p-2"),
+]
+
+
+@pytest.mark.parametrize("n, k1, k2, bits", GOLDEN_SOLVE,
+                         ids=[str(n) if n < 10**17 else f"1e{len(str(n)) - 1}" for n, *_ in GOLDEN_SOLVE])
+def test_solve_matches_recorded_values(n, k1, k2, bits):
+    res = solve(n)
+    assert (res.thresholds, res.value.hex()) == ((k1, k2), bits)
 
 
 def mp_closed_form(k1, k2, n):
@@ -629,10 +718,13 @@ class TestValueAccuracy:
         with mpmath.workdps(40):
             assert abs(res.value - mp_closed_form(*res.thresholds, n)) <= 3e-16
 
-    @pytest.mark.parametrize("n", [9, 10**6, 10**15])
+    @pytest.mark.parametrize("n", [9, 10**6, 10**15, 5662304048378, 7690721099070565])
     def test_thresholds_are_exact_crossings_in_40_digits(self, n):
         """Each threshold is the last k at which continuing is strictly
-        better; at 10^15 the float margins next to the crossings are 1e-16."""
+        better; at 10^15 the float margins next to the crossings are 1e-16,
+        and at the last two horizons the float sign alone gives a wrong k2
+        (one below, one above), which the Decimal re-check of a near-tie
+        settles."""
         self.assert_exact_crossings(n, 40)
 
     @pytest.mark.parametrize("n", [10**50, 10**80, 10**154], ids=["1e50", "1e80", "1e154"])
@@ -686,12 +778,17 @@ class TestTieBand:
     @pytest.mark.parametrize("n", LADDER, ids=lambda n: f"1e{len(str(n)) - 1}")
     def test_float_error_inside_tie_band(self, n):
         k1, k2 = solve(n).thresholds
-        cases = [(_rank2_margin, (k, n), n) for k in range(k2 - 3, k2 + 4)]
-        cases += [(_rank1_margin, (k, k2, n), n * n / k) for k in range(k1 - 3, min(k1 + 4, k2))]
         with localcontext() as ctx:
             ctx.prec = len(str(n)) + 30
-            for margin, args, scale in cases:
-                error = abs(Decimal(margin(*args)) - margin(*args, psi=_psi_exact))
+            psi = functools.cache(_psi_exact)
+            cases = [(_rank2_margin, (k, n), n, (harmonic_diff(k, n),),
+                      (psi(n)[0] - psi(k)[0],)) for k in range(k2 - 3, k2 + 4)]
+            for k in range(k1 - 3, min(k1 + 4, k2)):
+                (p_k, q_k), (p_k2, q_k2), (p_n, _) = psi(k), psi(k2), psi(n)
+                cases.append((_rank1_margin, (k, k2, n), n * n / k, _sums(k, k2, n),
+                              (p_k2 - p_k, p_n - p_k2, q_k - q_k2)))
+            for margin, args, scale, floats, exact in cases:
+                error = abs(Decimal(margin(*args, *floats)) - margin(*args, *exact))
                 assert error < Decimal(_TIE * scale / 100), (margin.__name__, args)
 
     def test_no_tie_at_small_horizons(self):
@@ -700,10 +797,11 @@ class TestTieBand:
         decides a sign."""
         for n in range(2, 300):
             for k in range(2, n + 1):
-                assert abs(_rank2_margin(k, n)) > 1e3 * _TIE * n, (n, k)
-            k2 = _last_true(_rank2_continues(n), 2, n, n // 2)
+                assert abs(_rank2_margin(k, n, harmonic_diff(k, n))) > 1e3 * _TIE * n, (n, k)
+            k2, E = _last_true(_rank2_continues, 2, n, n // 2, n, _psi_exact)
             for k in range(1, k2):
-                assert abs(_rank1_margin(k, k2, n)) > 1e3 * _TIE * n * n / k, (n, k)
+                margin = _rank1_margin(k, k2, n, *_sums(k, k2, n, E))
+                assert abs(margin) > 1e3 * _TIE * n * n / k, (n, k)
 
 
 class TestAllStopIsTheMeanOperator:
