@@ -66,12 +66,12 @@ def _table_out_blocks(res, n, rows=1 << 16):
     No field needs quoting, so plain formatting gives what csv.writer would."""
     k1, k2 = res.thresholds
     cont = res.continuation
-    row = "{},{!r},{!r},{!r},{},{}".format
 
     def lines(a, b):
         phi1, phi2 = solver._payoff_block(a, b, n)
-        return map(row, range(a, b), phi1.tolist(), phi2.tolist(),
-                   cont[a:b].tolist(), _steps(k1, a, b), _steps(k2, a, b))
+        return map(",".join, zip(map(str, range(a, b)), map(repr, phi1.tolist()),
+                                 map(repr, phi2.tolist()), map(repr, cont[a:b].tolist()),
+                                 _steps(k1, a, b), _steps(k2, a, b)))
 
     # rank 2 does not exist at time 1
     head = ("k,phi1,phi2,continuation,stop1,stop2\n"

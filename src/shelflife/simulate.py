@@ -8,11 +8,14 @@ uniform.  A trial jumps between these epochs on five uniforms (see
 `exhaustive_policy_value` instead traces every class of rank sequences at
 once, as boolean first-index searches over one int8 matrix of classes.
 
-PRNG: numpy Philox (counter-based).  Trials are drawn in fixed blocks of
-``BLOCK`` trials; block b uses the substream keyed by (seed, b*BLOCK) and
-gives trial t row t - b*BLOCK of a (rows, 5) uniform array, so the randomness
-of trial t is a pure function of (seed, t), whatever the blocks around it
-hold, and the per-block sums are reduced with math.fsum.
+PRNG: SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) evaluated as a counter
+(Salmon et al., SC 2011) in numpy uint64 arithmetic, so only numpy core is
+loaded.  Uniform j of trial t is output 5t + j of the stream from state
+mix64(seed): a pure function of (seed, 5t + j), whatever block holds the
+trial.  Trials are drawn in blocks of ``BLOCK``, and the per-block sums are
+reduced with math.fsum, so an estimate is bit-identical however it is run.
+Seeded estimates differ from those of versions before this generator, which
+drew from numpy's Philox keyed per block.
 """
 
 import math
@@ -23,6 +26,7 @@ import numpy as np
 from ._validate import _check_horizon, _check_int, _check_policy
 
 BLOCK = 32768
+GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's counter increment, 2**64 / golden ratio
 
 
 class McEstimate(NamedTuple):
@@ -93,22 +97,44 @@ def _payoffs(U, n, k1, k2):
     return np.where(stop <= n, (end - stop) / n, 0.0)
 
 
+def _mix64(z):
+    """SplitMix64's output function, in place on a uint64 array (which wraps)."""
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    return z
+
+
 def _uniforms(seed, start, m):
-    """The (m, 5) uniforms in (0, 1] of trials start..start+m-1 (one block)."""
-    key = np.array([seed, start], dtype=np.uint64)  # a tuple above 2**63 goes via float
-    rng = np.random.Generator(np.random.Philox(key=key))
-    return 1.0 - rng.random((m, 5))
+    """The (m, 5) uniforms in (0, 1] of trials start..start+m-1.
+
+    Entry j of trial t is output 5t + j of the SplitMix64 stream whose state
+    starts at mix64(seed), z = mix64(key + (5t + j + 1) * GAMMA), taken as
+    ((z >> 11) + 1) * 2**-53.  The seed is mixed as an array: arithmetic on a
+    numpy uint64 scalar warns when it wraps.
+    """
+    key = _mix64(np.array([seed], dtype=np.uint64))
+    z = np.arange(5 * start + 1, 5 * (start + m) + 1, dtype=np.uint64)
+    z *= GAMMA
+    z += key
+    _mix64(z)
+    z >>= 11
+    z += 1
+    return (z * 2.0**-53).reshape(m, 5)
 
 
 def monte_carlo(n: int, policy, trials: int, seed: int) -> McEstimate:
     """Estimate a policy's expected normalized duration by simulation.
 
     Deterministic for fixed (seed, trials); see the module docstring for the
-    substream layout.
+    stream layout.  trials is at most 2**61, so the counter 5 * trials fits
+    in 64 bits.
     """
     n = _check_horizon(n)
     k1, k2 = _check_policy(policy, n)
-    trials = _check_int(trials, "trials", 1)
+    trials = _check_int(trials, "trials", 1, 2**61)
     seed = _check_int(seed, "seed", 0, 2**64 - 1)
     sums, squares = [], []
     for start in range(0, trials, BLOCK):

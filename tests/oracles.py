@@ -7,7 +7,9 @@ operator as a direct sum over the embedded chain, backward induction as a
 per-k Python loop over plain floats or exact rationals, thresholds by a scan
 of the full payoff tables, policy values by enumerating all n! rank
 sequences, Monte Carlo trials as full rank sequences scanned one column at a
-time, and CLI output as one csv.writer row per line or one json.dump.
+time (drawn from numpy's Philox, a generator independent of the library's),
+the library's SplitMix64 uniforms one Python integer at a time, and CLI
+output as one csv.writer row per line or one json.dump.
 ``realized_outcome`` traces one explicit rank sequence position by
 position.  The n!-sequence sum is built on it, so it checks
 ``shelflife.simulate.exhaustive_policy_value``, which traces its rank
@@ -294,6 +296,43 @@ def write_pmf_rows(fh, i: int, r: int, n: int, as_csv: bool) -> None:
         }
         json.dump(record, fh)
         fh.write("\n")
+
+
+MASK64 = 2**64 - 1
+GAMMA = 0x9E3779B97F4A7C15
+MIX64_MULTIPLIERS = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+
+
+def mix64(z: int) -> int:
+    """SplitMix64's output function on a Python int in 0..2**64 - 1."""
+    z = ((z ^ (z >> 30)) * MIX64_MULTIPLIERS[0]) & MASK64
+    z = ((z ^ (z >> 27)) * MIX64_MULTIPLIERS[1]) & MASK64
+    return z ^ (z >> 31)
+
+
+def unmix64(z: int) -> int:
+    """The inverse of :func:`mix64`: each xor-shift and product undone in turn."""
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(z, 31)
+    z = unshift((z * pow(MIX64_MULTIPLIERS[1], -1, 2**64)) & MASK64, 27)
+    return unshift((z * pow(MIX64_MULTIPLIERS[0], -1, 2**64)) & MASK64, 30)
+
+
+def splitmix64_uniforms(seed: int, start: int, m: int) -> list:
+    """Oracle for ``simulate._uniforms``: m rows of five floats, one Python
+    integer at a time.  Entry j of trial t is output 5t + j of the SplitMix64
+    stream from state mix64(seed), mapped to ((z >> 11) + 1) * 2**-53."""
+    key = mix64(seed)
+    return [
+        [((mix64((key + (5 * t + j + 1) * GAMMA) & MASK64) >> 11) + 1) * 2.0**-53
+         for j in range(5)]
+        for t in range(start, start + m)
+    ]
 
 
 def generate_rank_sequence(n: int, rng: np.random.Generator) -> tuple:

@@ -220,6 +220,13 @@ class TestSimulateCommand:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_trials_above_2_61_exit_2(self, capsys):
+        # a domain error before any draw, not a wrapped counter or an endless run
+        code, out, err = run_cli(
+            ["simulate", "--n", "10", "--trials", str(10**19)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: trials must be in 1..2305843009213693952")
+
 
 class TestPmfCommand:
     def test_json(self, capsys):
@@ -374,6 +381,27 @@ def test_cli_runs_without_scipy():
         "    assert cli.main(['asymptotic']) == 0\n"
         "    assert cli.main(['table']) == 0\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == "[]\n"
+
+
+def test_cli_never_loads_numpy_random(tmp_path):
+    """The Monte Carlo generator is plain numpy arithmetic: no command imports
+    numpy.random."""
+    table_out = str(tmp_path / "t.csv")
+    script = (
+        "import io, sys, contextlib\n"
+        "from shelflife import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['simulate', '--n', '100', '--trials', '100000']) == 0\n"
+        "    assert cli.main(['pmf', '--n', '1000', '--i', '1', '--rank', '1']) == 0\n"
+        f"    assert cli.main(['solve', '--n', '1000', '--table-out', {table_out!r}]) == 0\n"
+        "    assert cli.main(['table']) == 0\n"
+        "    assert cli.main(['asymptotic']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True

@@ -9,14 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    GAMMA,
+    MASK64,
     TrialOutcome,
     _batch_outcomes,
     dense_monte_carlo,
     exhaustive_policy_value_fsum,
     generate_rank_sequence,
+    mix64,
     permutation_to_ranks,
     policy_value_fraction,
     realized_outcome,
+    splitmix64_uniforms,
+    unmix64,
 )
 
 import shelflife.simulate
@@ -273,6 +278,12 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(10, (1, 4), 100, 2**64)
 
+    @pytest.mark.parametrize("trials", [2**61 + 1, 10**19])
+    def test_trials_capped_so_the_counter_fits_64_bits(self, trials):
+        # the largest counter, 5 * trials, must not wrap; rejected before any draw
+        with pytest.raises(ValueError, match=r"trials must be in 1\.\.2305843009213693952"):
+            monte_carlo(10, (1, 4), trials, 1)
+
     @pytest.mark.parametrize("n", [1, 0, -3])
     def test_rejects_horizons_below_two(self, n):
         # the same lower bound as solve and policy_value
@@ -305,11 +316,66 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("m1", [1, 777, BLOCK - 1])
     def test_trial_randomness_is_a_pure_function_of_seed_and_index(self, m1):
-        """A trial's payoff does not depend on how many trials its block holds."""
+        """A trial's payoff depends neither on how many trials its block holds
+        nor on where that block starts."""
+        two_blocks = np.concatenate([_uniforms(9, 0, BLOCK), _uniforms(9, BLOCK, BLOCK)])
         for n, policy in [(50, (6, 21)), (7, (0, 0)), (1000, (120, 417))]:
-            short = _payoffs(_uniforms(9, 0, m1), n, *policy)
-            full = _payoffs(_uniforms(9, 0, BLOCK), n, *policy)
-            assert np.array_equal(short, full[:m1])
+            full = _payoffs(two_blocks, n, *policy)
+            for lo in (0, BLOCK - m1 // 2, 2 * BLOCK - m1):
+                short = _payoffs(_uniforms(9, lo, m1), n, *policy)
+                assert np.array_equal(short, full[lo:lo + m1]), lo
+
+
+class TestSplitMix64Uniforms:
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    @pytest.mark.parametrize("start", [0, BLOCK - 1, 10**12, 2**61 - 9])
+    def test_matches_scalar_oracle(self, seed, start):
+        # bit for bit; 2**61 - 9 ends at the largest counter monte_carlo allows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _uniforms(seed, start, 9)
+        assert got.shape == (9, 5)
+        assert got.tolist() == splitmix64_uniforms(seed, start, 9)
+
+    @pytest.mark.parametrize("start", [1, BLOCK - 5, BLOCK, BLOCK + 3])
+    def test_random_access(self, start):
+        """Rows start.. of a draw from 0 are the draw from start, across a block edge."""
+        assert np.array_equal(_uniforms(4, start, 10), _uniforms(4, 0, start + 10)[start:])
+
+    def test_extremes_are_inside_the_unit_interval(self):
+        """The outputs z = 0 and z = 2**64 - 1 give 2**-53 and 1.0.
+
+        The trial that meets each is found by running the stream backwards:
+        its counter 5t + j + 1 is (unmix64(z) - mix64(seed)) / GAMMA mod 2**64.
+        """
+        for z, u in ((0, 2.0**-53), (MASK64, 1.0)):
+            for seed in itertools.count():
+                counter = (unmix64(z) - mix64(seed)) * pow(GAMMA, -1, 2**64) & MASK64
+                t, j = divmod(counter - 1, 5)
+                if 0 <= t <= 2**61 - 1:
+                    break
+            assert _uniforms(seed, t, 1)[0, j] == u, (seed, t, j)
+        U = _uniforms(1, 0, 4 * BLOCK)
+        assert U.min() > 0.0 and U.max() <= 1.0
+
+    def test_columns_uniform_and_independent(self):
+        """Each column: 64-bin chi-square at the 1e-6 tail; lag-1 correlations
+        within each column and along the stream, and correlations between the
+        columns of one trial, within 5/sqrt(N)."""
+        trials = 8 * BLOCK
+        U = _uniforms(2, 0, trials)
+        crit = 131.370  # chi2.isf(1e-6, 63), fixed before any draw
+        for j in range(5):
+            counts = np.bincount(np.minimum((U[:, j] * 64).astype(np.int64), 63), minlength=64)
+            stat = float(np.sum((counts - trials / 64) ** 2) / (trials / 64))
+            assert stat <= crit, (j, stat)
+        bound = 5 / math.sqrt(trials)
+        stream = U.ravel()
+        pairs = [(U[:-1, j], U[1:, j]) for j in range(5)]
+        pairs += [(U[:, i], U[:, j]) for i, j in itertools.combinations(range(5), 2)]
+        pairs.append((stream[:-1], stream[1:]))
+        for x, y in pairs:
+            assert abs(np.corrcoef(x, y)[0, 1]) <= bound
 
 
 @pytest.mark.parametrize(
