@@ -3,7 +3,8 @@
 Select a relatively best or second-best item from a random sequence so that it
 stays in the top two as long as possible.  The package provides the exact
 solver for horizons 2..10**154 (optimal two-threshold policies), a seeded
-simulator with an exhaustive small-case oracle, the limit constants and a CLI.
+simulator with an exhaustive small-case oracle, the limit constants (both
+threshold fractions from one safeguarded Newton root finder) and a CLI.
 """
 
 from .asymptotic import (
@@ -27,6 +28,6 @@ from .solver import (
     solve,
     transition_prob,
 )
-from .special import harmonic_diff, lambert_w0, trigamma_diff
+from .special import harmonic_diff, trigamma_diff
 
 __version__ = "0.1.0"

@@ -1,17 +1,16 @@
 """Infinite-horizon limits: threshold fractions a < b and the limit value.
 
 As n grows, the optimal thresholds scale linearly (k1 ~ a*n, k2 ~ b*n) and the
-value converges.  b solves the indifference equation Tphi(b) = phi(b, 2) in
-closed form through the Lambert W function; a is the root of
-v~(x, b) = phi(x, 1) on (0, b); the limit value is v~(a, b), constant below
-the first threshold exactly as the finite-n continuation value is.
+value converges.  b is the root of the indifference equation Tphi(b) = phi(b, 2)
+and a of v~(x, b) = phi(x, 1) on (0, b), both by one safeguarded Newton
+iteration (`_root`); the limit value is v~(a, b), constant below the first
+threshold exactly as the finite-n continuation value is.
 """
 
 import math
 from typing import NamedTuple
 
 from ._validate import _check_int
-from .special import lambert_w0
 
 
 class AsymptoticSolution(NamedTuple):
@@ -37,9 +36,38 @@ def mean_operator_limit(x: float) -> float:
     return 2.0 * (x * x - x - x * math.log(x))
 
 
+def _root(f, df, lo, hi, name):
+    """The root of f in (lo, hi), 0 <= lo, where f changes sign: Newton's method
+    from the midpoint, bisecting whenever a step would leave the shrinking
+    bracket, until a step moves x by at most 1e-15 x."""
+    f_lo, f_hi = f(lo), f(hi)
+    if not f_lo * f_hi < 0.0:
+        raise ArithmeticError(f"root bracketing for {name} failed: "
+                              f"f({lo}) = {f_lo}, f({hi}) = {f_hi}")
+    x = 0.5 * (lo + hi)
+    for _ in range(100):
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (f_lo > 0.0):
+            lo = x
+        else:
+            hi = x
+        x_new = x - fx / df(x)
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+        if abs(x_new - x) <= 1e-15 * x:
+            return x_new
+        x = x_new
+    raise ArithmeticError(f"root finding for {name} did not converge in [{lo}, {hi}]")
+
+
 def solve_b() -> float:
-    """Upper threshold fraction: b = -(2/3) W0(-(3/2) e^{-3/2}) ~ 0.417188."""
-    return -2.0 / 3.0 * lambert_w0(-1.5 * math.exp(-1.5))
+    """Upper threshold fraction b ~ 0.417188: the root of 2 log x - 3x + 3 = 0,
+    which is Tphi(x) = phi(x, 2) divided by x, on [1e-4, 2/3].  The bracket
+    leaves out the equation's other root, x = 1."""
+    return _root(lambda x: 2.0 * math.log(x) - 3.0 * x + 3.0, lambda x: 2.0 / x - 3.0,
+                 1e-4, 2.0 / 3.0, "b")
 
 
 def _antiderivative(t: float) -> float:
@@ -64,8 +92,7 @@ def solve_a(b: float) -> float:
 
     Divided by x, the equation reads g(x) = log^2 x + 3 log x - 2x + c = 0
     with c = A(b) + M(b)/b + 1, where A(t) = t - log^2 t - log t and M is
-    :func:`mean_operator_limit`.  Newton's method on g, bisecting whenever a
-    step would leave the sign-change bracket, which starts as [1e-4, b - 1e-4].
+    :func:`mean_operator_limit`, solved by :func:`_root` on [1e-4, b - 1e-4].
     """
     lo, hi = 1e-4, b - 1e-4
     if not (lo < hi and b <= 1.0):
@@ -76,27 +103,7 @@ def solve_a(b: float) -> float:
         lx = math.log(x)
         return lx * (lx + 3.0) - 2.0 * x + c
 
-    g_lo, g_hi = g(lo), g(hi)
-    if not g_lo * g_hi < 0.0:
-        raise ArithmeticError(
-            f"root bracketing for a failed: g({lo}) = {g_lo}, g({hi}) = {g_hi}"
-        )
-    x = 0.5 * (lo + hi)
-    for _ in range(100):
-        gx = g(x)
-        if gx == 0.0:
-            return x
-        if (gx > 0.0) == (g_lo > 0.0):
-            lo = x
-        else:
-            hi = x
-        x_new = x - gx / ((2.0 * math.log(x) + 3.0) / x - 2.0)
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-15 * x:
-            return x_new
-        x = x_new
-    raise ArithmeticError(f"root finding for a did not converge for b={b}")
+    return _root(g, lambda x: (2.0 * math.log(x) + 3.0) / x - 2.0, lo, hi, "a")
 
 
 def asymptotic_solution() -> AsymptoticSolution:

@@ -1,4 +1,4 @@
-"""Integer-argument digamma/trigamma differences and the Lambert W function.
+"""Integer-argument digamma and trigamma differences.
 
 The solver needs psi and psi_1 only as differences at integer arguments,
 sums of 1/j and 1/j**2.  Each costs O(1): math.fsum adds the terms below
@@ -89,37 +89,3 @@ def _psi_exact(x):
         psi, psi1 = psi - Decimal(1) / j, psi1 + Decimal(1) / (j * j)
     return psi, psi1
 
-
-_BRANCH_POINT = -math.exp(-1.0)
-
-
-def lambert_w0(z: float) -> float:
-    """Principal branch of the Lambert W function: the w >= -1 with w*e^w = z.
-
-    Defined for z >= -1/e.  Halley iteration; the initial guess is z itself
-    for small |z|, log1p(z) for large z, and a series in sqrt(2(1 + e*z))
-    near the branch point, where a log-based start stalls (W' blows up
-    at z = -1/e).
-    """
-    if not math.isfinite(z) or z < _BRANCH_POINT:
-        raise ValueError(f"lambert_w0 requires finite z >= -1/e, got {z!r}")
-    if z == 0.0:
-        return 0.0
-    if z < -0.3:
-        # max() guards the z = -1/e case, where rounding of e*z can push the
-        # radicand a few ulp below zero
-        p = math.sqrt(max(0.0, 2.0 * (1.0 + math.e * z)))
-        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0)))
-    elif abs(z) < 0.3:
-        w = z
-    else:
-        w = math.log1p(z)
-    tol = 1e-15 * max(1.0, abs(z))
-    for _ in range(50):
-        ew = math.exp(w)
-        f = w * ew - z
-        if abs(f) <= tol:
-            break
-        wp1 = w + 1.0
-        w -= f / (ew * wp1 - (w + 2.0) * f / (2.0 * wp1))
-    return w

@@ -754,7 +754,7 @@ class TestValueAccuracy:
 def test_near_ties_evaluate_psi_of_each_argument_once(monkeypatch):
     """At 10^154 nearly every search step is a near-tie, and psi(n) and psi(k2)
     are the same at each: n is evaluated at most once per search, and the two
-    searches make no more calls than their 1,829 distinct arguments."""
+    searches make no more calls than their 1,825 distinct arguments."""
     calls = []
 
     def psi_exact(x):
@@ -764,7 +764,7 @@ def test_near_ties_evaluate_psi_of_each_argument_once(monkeypatch):
     monkeypatch.setattr("shelflife.solver._psi_exact", psi_exact)
     n = 10**154
     solve(n)
-    assert calls.count(n) <= 2 and len(calls) <= 1829
+    assert calls.count(n) <= 2 and len(calls) <= 1825
 
 
 class TestTieBand:

@@ -14,7 +14,6 @@ from shelflife.special import (
     _harmonic_block,
     _psi_exact,
     harmonic_diff,
-    lambert_w0,
     trigamma_diff,
 )
 
@@ -259,36 +258,3 @@ def test_numpy_integers_accepted():
     assert trigamma_diff(np.int32(2), np.int64(5)) == trigamma_diff(2, 5)
     assert closed_form_value(np.int64(1), np.int64(4), 10) == closed_form_value(1, 4, 10)
 
-
-class TestLambertW0:
-    def test_fixed_points(self):
-        assert lambert_w0(0.0) == 0.0
-        assert lambert_w0(math.e) == pytest.approx(1.0, abs=1e-14)
-
-    def test_branch_point(self):
-        assert lambert_w0(-math.exp(-1.0)) == pytest.approx(-1.0, abs=1e-7)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            lambert_w0(-math.exp(-1.0) - 1e-12)
-        with pytest.raises(ValueError):
-            lambert_w0(float("nan"))
-        with pytest.raises(ValueError):
-            lambert_w0(float("inf"))
-
-    def test_against_scipy(self):
-        for z in [-0.36, -0.3346952402326379, -0.1, 0.5, 2.0, 100.0, 1e6]:
-            expected = float(scipy.special.lambertw(z).real)
-            assert lambert_w0(z) == pytest.approx(expected, abs=1e-12, rel=1e-12)
-
-    def test_threshold_constant(self):
-        # -(2/3) W0(-(3/2) e^{-3/2}) is the upper threshold fraction
-        b = -2.0 / 3.0 * lambert_w0(-1.5 * math.exp(-1.5))
-        assert b == pytest.approx(0.417188, abs=1e-6)
-
-    @given(st.floats(min_value=-math.exp(-1.0), max_value=1e8,
-                     allow_nan=False, allow_infinity=False))
-    def test_residual(self, z):
-        w = lambert_w0(z)
-        assert w >= -1.0 - 1e-12
-        assert abs(w * math.exp(w) - z) <= 1e-14 * max(1.0, abs(z))
