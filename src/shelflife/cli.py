@@ -1,13 +1,15 @@
 """Command-line interface: solve, table, simulate, pmf, asymptotic.
 
-JSON (default) carries full float precision with a stable key order; CSV is
-RFC-4180-style with a header row and LF line endings.  The `table` subcommand
-renders the summary table at fixed 6 decimals (round-half-even) so its output
-is byte-stable; everything else serializes floats at full repr precision.
-The per-k output (`pmf`, --table-out) is written in blocks of rows, never
-held whole.  Checks and array builds come before the first byte, so a bad
-argument or an array too large to build leaves no output and no file.
-`main` builds one parser, on its first call, and reuses it.
+Each command returns its output as an iterable of text, and `main` is the one
+place that writes stdout.  A command's checks and array builds run before it
+returns, so a bad argument or an array too large to build leaves no output
+and no file.  JSON (default) carries full float precision with a stable key
+order.  CSV has a header row and LF line endings; no field needs quoting, so
+it is plain formatting, with floats at repr precision and None as an empty
+cell.  The `table` subcommand renders the summary table at fixed 6 decimals
+(round-half-even) so its output is byte-stable.  The per-k output (`pmf`,
+--table-out) is built `ROWS` rows at a time, never held whole.  `main` builds
+one parser, on its first call, and reuses it.
 
 Exit codes: 0 success, 2 usage/domain, file I/O or out-of-memory error (an
 array too large to allocate, such as --table-out at n = 10^15), 3 numeric
@@ -15,7 +17,6 @@ failure.
 """
 
 import argparse
-import csv
 import functools
 import json
 import sys
@@ -23,33 +24,25 @@ import sys
 from . import asymptotic, simulate, solver
 
 TABLE_NS = (10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 200, 500, 1000)
+ROWS = 1 << 16  # rows per block of per-k output
 
 
-def _csv_writer():
-    return csv.writer(sys.stdout, lineterminator="\n")
-
-
-def _cell(v):
-    return repr(v) if isinstance(v, float) else v
-
-
-def _emit_record(record, as_csv):
+def _record(record, as_csv):
+    """One JSON line, or a CSV header line and value line."""
     if as_csv:
-        w = _csv_writer()
-        w.writerow(record.keys())
-        w.writerow([_cell(v) for v in record.values()])
-    else:
-        sys.stdout.write(json.dumps(record) + "\n")
+        cells = ("" if v is None else str(v) for v in record.values())
+        return [",".join(record) + "\n", ",".join(cells) + "\n"]
+    return [json.dumps(record) + "\n"]
 
 
-def _blocks(head, lines, lo, hi, tail, eol="\n", rows=1 << 16):
+def _blocks(head, lines, lo, hi, tail, eol="\n"):
     """Yield head, then the lines for k = lo..hi-1 separated by eol, then tail.
 
-    lines(a, b) gives the lines for k = a..b-1; they are built `rows` at a
+    lines(a, b) gives the lines for k = a..b-1; they are built `ROWS` at a
     time, so the text is never held whole."""
     yield head
-    for a in range(lo, hi, rows):
-        block = eol.join(lines(a, min(a + rows, hi)))
+    for a in range(lo, hi, ROWS):
+        block = eol.join(lines(a, min(a + ROWS, hi)))
         yield block if a == lo else eol + block
     yield tail
 
@@ -60,7 +53,7 @@ def _steps(t, a, b):
     return "0" * c + "1" * (b - a - c)
 
 
-def _table_out_blocks(res, n, rows=1 << 16):
+def _table_out_blocks(res, n):
     """The --table-out CSV; only the continuation is built before this returns.
 
     No field needs quoting, so plain formatting gives what csv.writer would."""
@@ -76,10 +69,10 @@ def _table_out_blocks(res, n, rows=1 << 16):
     # rank 2 does not exist at time 1
     head = ("k,phi1,phi2,continuation,stop1,stop2\n"
             f"1,{solver.payoff(1, 1, n)!r},,{float(cont[1])!r},{int(1 > k1)},\n")
-    return _blocks(head, lines, 2, n + 1, "\n", rows=rows)
+    return _blocks(head, lines, 2, n + 1, "\n")
 
 
-def _pmf_blocks(i, r, n, as_csv, rows=1 << 16):
+def _pmf_blocks(i, r, n, as_csv):
     """The pmf command's output; the arguments are checked before this returns."""
     i, n, survive = solver._pmf_survive(i, r, n)
     row = ("{},{!r}" if as_csv else '"{}": {!r}').format
@@ -89,10 +82,10 @@ def _pmf_blocks(i, r, n, as_csv, rows=1 << 16):
 
     if as_csv:
         tail = "\n" * (i < n) + f"survive,{survive!r}\n"
-        return _blocks("k,probability\n", lines, i + 1, n + 1, tail, rows=rows)
+        return _blocks("k,probability\n", lines, i + 1, n + 1, tail)
     head = f'{{"n": {n}, "i": {i}, "rank": {r}, "pmf": {{'
     tail = f'}}, "survive": {survive!r}}}\n'
-    return _blocks(head, lines, i + 1, n + 1, tail, eol=", ", rows=rows)
+    return _blocks(head, lines, i + 1, n + 1, tail, eol=", ")
 
 
 def cmd_solve(args):
@@ -103,16 +96,15 @@ def cmd_solve(args):
         "k2": res.thresholds.k2,
         "value": res.value,
     }
-    if args.table_out:
+    if args.table_out is not None:
         blocks = _table_out_blocks(res, args.n)
         with open(args.table_out, "w", newline="") as fh:
             fh.writelines(blocks)
-    _emit_record(record, args.csv)
-    return 0
+    return _record(record, args.csv)
 
 
 def cmd_table(args):
-    if args.ns:
+    if args.ns is not None:
         try:
             ns = [int(part) for part in args.ns.split(",") if part.strip()]
         except ValueError:
@@ -120,15 +112,14 @@ def cmd_table(args):
         if not ns:
             raise ValueError("--ns list is empty")
     else:
-        ns = list(TABLE_NS)
-    rows = [["N", "k1", "k2", "v_N"]]  # all built before the first byte, so a bad n writes none
+        ns = TABLE_NS
+    lines = ["N,k1,k2,v_N\n"]
     for n in ns:
         res = solver.solve(n)
-        rows.append([n, res.thresholds.k1, res.thresholds.k2, f"{res.value:.6f}"])
+        lines.append(f"{n},{res.thresholds.k1},{res.thresholds.k2},{res.value:.6f}\n")
     sol = asymptotic.asymptotic_solution()
-    rows.append(["inf", f"{sol.a:.6f}", f"{sol.b:.6f}", f"{sol.value:.6f}"])
-    _csv_writer().writerows(rows)
-    return 0
+    lines.append(f"inf,{sol.a:.6f},{sol.b:.6f},{sol.value:.6f}\n")
+    return lines
 
 
 def cmd_simulate(args):
@@ -152,13 +143,11 @@ def cmd_simulate(args):
         "exact": exact,
         "z_score": z,
     }
-    _emit_record(record, args.csv)
-    return 0
+    return _record(record, args.csv)
 
 
 def cmd_pmf(args):
-    sys.stdout.writelines(_pmf_blocks(args.i, args.rank, args.n, args.csv))
-    return 0
+    return _pmf_blocks(args.i, args.rank, args.n, args.csv)
 
 
 def cmd_asymptotic(args):
@@ -175,13 +164,12 @@ def cmd_asymptotic(args):
             - asymptotic.phi_limit(sol.a, 1)
         ),
     }
-    if args.fine_n:
+    if args.fine_n is not None:
         res = solver.solve(args.fine_n)
         record["k1_over_n"] = res.thresholds.k1 / args.fine_n
         record["k2_over_n"] = res.thresholds.k2 / args.fine_n
         record["v_n"] = res.value
-    _emit_record(record, args.csv)
-    return 0
+    return _record(record, args.csv)
 
 
 def _add_format_flags(sub):
@@ -242,7 +230,8 @@ _parser = functools.cache(build_parser)
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        sys.stdout.writelines(args.func(args))
+        return 0
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -187,28 +187,44 @@ class TestSolveA:
         assert roots >= 120
 
 
+def _mp_constants():
+    """a, b and v~ in mpmath at the working precision: b through lambertw, a
+    through findroot on the undivided gap, v~ through the antiderivative."""
+    three_halves = mpmath.mpf(3) / 2
+    b = -2 * mpmath.lambertw(-three_halves * mpmath.exp(-three_halves)).real / 3
+
+    def anti(t):
+        return t - mpmath.log(t) ** 2 - mpmath.log(t)
+
+    tphi_b = 2 * (b * b - b - b * mpmath.log(b))
+
+    def value(x):
+        return x * (anti(b) - anti(x)) + (x / b) * tphi_b
+
+    a = mpmath.findroot(
+        lambda x: value(x) - (x * x - 2 * x * mpmath.log(x) - x), mpmath.mpf("0.12")
+    )
+    return a, b, value(a)
+
+
+def _c1(a, b, log):
+    """c1 in v_N = v~ + c1/N + O(1/N^2): closed_form_value expanded at
+    k1 = aN, k2 = bN with psi(k) = log k - 1/(2k) + O(1/k^2).  The value is
+    stationary in (k1, k2) at the optimum, so the O(1) offsets of the integer
+    thresholds enter only at O(1/N^2)."""
+    L = log(b / a)
+    d = (1 / a - 1 / b) / 2
+    e = (1 / b - 1) / 2
+    return a * (2 * L + d * (2 * L - 2 * log(b) - 1) - 2 * d + 2 * L * e) + 2 * a * e
+
+
 class TestHighPrecisionOracle:
-    """a, b and v~ from mpmath at 30 digits: b through lambertw, a through
-    findroot on the undivided gap, v~ through the antiderivative."""
+    """a, b and v~ from mpmath at 30 digits."""
 
     @pytest.fixture(scope="class")
     def reference(self):
         with mpmath.workdps(30):
-            three_halves = mpmath.mpf(3) / 2
-            b = -2 * mpmath.lambertw(-three_halves * mpmath.exp(-three_halves)).real / 3
-
-            def anti(t):
-                return t - mpmath.log(t) ** 2 - mpmath.log(t)
-
-            tphi_b = 2 * (b * b - b - b * mpmath.log(b))
-
-            def value(x):
-                return x * (anti(b) - anti(x)) + (x / b) * tphi_b
-
-            a = mpmath.findroot(
-                lambda x: value(x) - (x * x - 2 * x * mpmath.log(x) - x), mpmath.mpf("0.12")
-            )
-            return float(a), float(b), float(value(a))
+            return tuple(map(float, _mp_constants()))
 
     def test_constants(self, reference):
         # each constant is the correctly rounded float or one of its neighbours
@@ -238,6 +254,31 @@ class TestHighPrecisionOracle:
         assert abs(res.thresholds.k1 / n - a_ref) <= 1e-12
         assert abs(res.thresholds.k2 / n - b_ref) <= 1e-12
         assert abs(res.value - v_ref) <= 2e-15
+
+
+class TestSecondOrderTerm:
+    """v_N = v~ + c1/N + O(1/N^2), with c1 in closed form."""
+
+    def test_c1_against_40_digits(self):
+        with mpmath.workdps(40):
+            a, b, _ = _mp_constants()
+            ref = _c1(a, b, mpmath.log)
+            assert mpmath.nstr(ref, 20) == "1.1154542648305850244"
+        sol = asymptotic_solution()
+        assert abs(_c1(sol.a, sol.b, math.log) - float(ref)) <= 1e-15
+
+    def test_remainder_is_order_1_over_n_squared(self):
+        # the maximum, 2.0125, is at N = 13
+        a, b, v = asymptotic_solution()
+        ns, _, _, v_n = _solve_10_to_20000()
+        remainder = ns * ns * np.abs(v_n - v - _c1(a, b, math.log) / ns)
+        assert remainder.max() <= 2.02
+
+    def test_fourth_route_to_the_limit_value(self):
+        # v_N - c1/N reaches v~ to O(1/N^2); measured 1.26/N^2 at N = 10^5
+        a, b, v = asymptotic_solution()
+        n = 100_000
+        assert abs(solve(n).value - _c1(a, b, math.log) / n - v) <= 2 / n**2
 
 
 class TestAsymptoticValue:
@@ -270,10 +311,11 @@ class TestConvergenceLadder:
 
 
 @functools.cache
-def _thresholds_10_to_20000():
+def _solve_10_to_20000():
     ns = np.arange(10, 20001)
-    k1, k2 = np.array([solve(int(n)).thresholds for n in ns]).T
-    return ns, k1, k2
+    results = [solve(int(n)) for n in ns]
+    k1, k2 = np.array([res.thresholds for res in results]).T
+    return ns, k1, k2, np.array([res.value for res in results])
 
 
 class TestThresholdRules:
@@ -285,18 +327,18 @@ class TestThresholdRules:
         b = asymptotic_solution().b
         delta2 = (1 - 2 * b) / (5 - 6 * b + 2 * math.log(b))
         assert delta2 == pytest.approx(0.2212928, abs=1e-7)
-        ns, _, k2 = _thresholds_10_to_20000()
+        ns, _, k2, _ = _solve_10_to_20000()
         assert ns[k2 != np.floor(b * ns + delta2)].tolist() == [57]
 
     def test_k1_offset_rule(self):
         # an empirical offset, not yet derived from v~(x, b) = phi(x, 1)
         a = asymptotic_solution().a
-        ns, k1, _ = _thresholds_10_to_20000()
+        ns, k1, _, _ = _solve_10_to_20000()
         misses = ns[k1 != np.floor(a * ns + 0.0783)].tolist()
         assert misses == [16, 41, 124, 531, 7243, 8082, 19936]
 
     def test_abstract_rules_miss_often(self):
         a, b, _ = asymptotic_solution()
-        ns, k1, k2 = _thresholds_10_to_20000()
+        ns, k1, k2, _ = _solve_10_to_20000()
         assert np.count_nonzero(k2 != np.floor(b * ns)) == 4422
         assert np.count_nonzero(k1 != np.floor(a * ns)) == 1559

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -10,8 +11,9 @@ import tracemalloc
 import pytest
 from oracles import write_pmf_rows, write_table_out_rows
 
-from shelflife import cli
+from shelflife import asymptotic, cli
 from shelflife.cli import main
+from shelflife.simulate import monte_carlo
 from shelflife.solver import policy_value, solve
 
 REFERENCE_TABLE = """\
@@ -37,6 +39,56 @@ def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _solve_record():
+    res = solve(10)
+    return ["solve", "--n", "10"], {"n": 10, "k1": res.thresholds.k1,
+                                    "k2": res.thresholds.k2, "value": res.value}
+
+
+def _simulate_record():
+    k1, k2 = solve(20).thresholds
+    est = monte_carlo(20, (k1, k2), 1, 0)
+    assert est.std_error == 0.0
+    return ["simulate", "--n", "20", "--trials", "1", "--seed", "0"], {
+        "n": 20, "k1": k1, "k2": k2, "trials": 1, "seed": 0, "mean": est.mean,
+        "std_error": est.std_error, "exact": policy_value((k1, k2), 20), "z_score": None}
+
+
+def _asymptotic_record(fine_n=None):
+    sol = asymptotic.asymptotic_solution()
+    record = {
+        "a": sol.a, "b": sol.b, "value": sol.value,
+        "residual_b": abs(asymptotic.mean_operator_limit(sol.b)
+                          - asymptotic.phi_limit(sol.b, 2)),
+        "residual_a": abs(asymptotic.limit_value_function(sol.a, sol.b)
+                          - asymptotic.phi_limit(sol.a, 1)),
+    }
+    if fine_n is None:
+        return ["asymptotic"], record
+    res = solve(fine_n)
+    record.update(k1_over_n=res.thresholds.k1 / fine_n,
+                  k2_over_n=res.thresholds.k2 / fine_n, v_n=res.value)
+    return ["asymptotic", "--fine-n", str(fine_n)], record
+
+
+@pytest.mark.parametrize("fmt", ["--json", "--csv"])
+@pytest.mark.parametrize("case", [_solve_record, _simulate_record, _asymptotic_record,
+                                  functools.partial(_asymptotic_record, 1000)],
+                         ids=["solve", "simulate", "asymptotic", "asymptotic-fine-n"])
+def test_record_bytes(capsys, case, fmt):
+    """The whole stdout of a one-record command: JSON with ", " and ": "
+    separators and null, or a CSV header and value line with an empty cell for
+    None; floats at repr precision either way."""
+    argv, record = case()
+    if fmt == "--json":
+        fields = (f'"{k}": {"null" if v is None else repr(v)}' for k, v in record.items())
+        want = "{" + ", ".join(fields) + "}\n"
+    else:
+        cells = ("" if v is None else repr(v) for v in record.values())
+        want = ",".join(record) + "\n" + ",".join(cells) + "\n"
+    assert run_cli(argv + [fmt], capsys) == (0, want, "")
 
 
 class TestSolveCommand:
@@ -84,10 +136,11 @@ class TestSolveCommand:
         assert new.read_bytes() == old.read_bytes()
 
     @pytest.mark.parametrize("rows", [1, 3, 8, 9])
-    def test_table_out_block_boundaries(self, tmp_path, rows):
+    def test_table_out_block_boundaries(self, tmp_path, monkeypatch, rows):
         old = tmp_path / "old.csv"
         write_table_out_rows(old, 10)
-        blocks = "".join(cli._table_out_blocks(solve(10), 10, rows=rows))
+        monkeypatch.setattr(cli, "ROWS", rows)
+        blocks = "".join(cli._table_out_blocks(solve(10), 10))
         assert blocks == old.read_text()
 
     def test_domain_error_exits_2(self, capsys):
@@ -102,6 +155,12 @@ class TestSolveCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_empty_table_out_path_exits_2(self, capsys):
+        # an empty path is given, not absent: opening it fails before any output
+        code, out, err = run_cli(["solve", "--n", "10", "--table-out", ""], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
     def test_horizon_1e15(self, capsys):
         code, out, err = run_cli(["solve", "--n", "1000000000000000"], capsys)
@@ -167,6 +226,13 @@ class TestTableCommand:
         code, _, err = run_cli(["table", "--ns", "30,junk"], capsys)
         assert code == 2
         assert "--ns" in err
+
+    @pytest.mark.parametrize("ns", ["", ",", " "])
+    def test_empty_ns_exits_2(self, capsys, ns):
+        # an empty --ns is an empty list, not the default one
+        code, out, err = run_cli(["table", "--ns", ns], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --ns list is empty")
 
     @pytest.mark.parametrize("ns", ["10,1", f"10,{10**155}"], ids=["1", "1e155"])
     def test_bad_horizon_after_a_good_one_writes_nothing(self, capsys, ns):
@@ -272,10 +338,11 @@ class TestPmfCommand:
     @pytest.mark.parametrize("as_csv", [False, True])
     @pytest.mark.parametrize("i,r", [(1, 1), (2, 2), (9, 1), (10, 2)])
     @pytest.mark.parametrize("rows", [1, 3, 8, 9])
-    def test_block_boundaries(self, rows, i, r, as_csv):
+    def test_block_boundaries(self, monkeypatch, rows, i, r, as_csv):
         old = io.StringIO()
         write_pmf_rows(old, i, r, 10, as_csv)
-        blocks = "".join(cli._pmf_blocks(i, r, 10, as_csv, rows=rows))
+        monkeypatch.setattr(cli, "ROWS", rows)
+        blocks = "".join(cli._pmf_blocks(i, r, 10, as_csv))
         assert blocks == old.getvalue()
 
     def test_memory_bounded_by_block(self):
@@ -344,6 +411,13 @@ class TestAsymptoticCommand:
         assert record["k1_over_n"] == pytest.approx(record["a"], abs=5e-4)
         assert record["k2_over_n"] == pytest.approx(record["b"], abs=5e-4)
         assert record["v_n"] == pytest.approx(record["value"], abs=2e-3)
+
+    @pytest.mark.parametrize("fine_n", ["0", "1"])
+    def test_bad_fine_n_exits_2(self, capsys, fine_n):
+        # --fine-n 0 is a horizon like any other, checked by the same rule
+        code, out, err = run_cli(["asymptotic", "--fine-n", fine_n], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
 
     def test_csv(self, capsys):
         code, out, _ = run_cli(["asymptotic", "--csv"], capsys)
