@@ -8,7 +8,8 @@ per-k Python loop over plain floats or exact rationals, thresholds by a scan
 of the full payoff tables, policy values by enumerating all n! rank
 sequences, Monte Carlo trials as full rank sequences scanned one column at a
 time (drawn from numpy's Philox, a generator independent of the library's),
-the library's SplitMix64 uniforms one Python integer at a time, and CLI
+the library's SplitMix64 uniforms one Python integer at a time, a Monte
+Carlo estimate with each reduction block drawn and rolled out whole, and CLI
 output as one csv.writer row per line or one json.dump.
 ``realized_outcome`` traces one explicit rank sequence position by
 position.  The n!-sequence sum is built on it, so it checks
@@ -27,6 +28,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from shelflife._validate import _check_horizon
+from shelflife.simulate import BLOCK, McEstimate, _payoffs, _uniforms
 from shelflife.solver import (
     PolicyThresholds,
     _continuation,
@@ -333,6 +335,24 @@ def splitmix64_uniforms(seed: int, start: int, m: int) -> list:
          for j in range(5)]
         for t in range(start, start + m)
     ]
+
+
+def whole_block_monte_carlo(n: int, policy, trials: int, seed: int) -> McEstimate:
+    """Oracle for ``monte_carlo``'s sub-blocks: each block of ``BLOCK`` trials
+    is drawn and rolled out by one ``_payoffs(_uniforms(...))`` call, then
+    reduced by np.sum and np.dot, and the block sums by math.fsum."""
+    sums, squares = [], []
+    for start in range(0, trials, BLOCK):
+        p = _payoffs(_uniforms(seed, start, min(BLOCK, trials - start)), n, *policy)
+        sums.append(float(np.sum(p)))
+        squares.append(float(np.dot(p, p)))
+    s1, s2 = math.fsum(sums), math.fsum(squares)
+    if trials > 1:
+        var = max(0.0, (s2 - s1 * s1 / trials) / (trials - 1))
+        std_error = math.sqrt(var / trials)
+    else:
+        std_error = 0.0
+    return McEstimate(mean=s1 / trials, std_error=std_error, trials=trials, seed=seed)
 
 
 def generate_rank_sequence(n: int, rng: np.random.Generator) -> tuple:

@@ -355,7 +355,7 @@ class TestPmfCommand:
             finally:
                 tracemalloc.stop()
         assert code == 0
-        assert peak < 32 * 2**20
+        assert peak < 4 * 2**20
 
 
 def _call(argv):

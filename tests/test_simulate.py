@@ -1,6 +1,7 @@
 import collections
 import itertools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -22,11 +23,13 @@ from oracles import (
     realized_outcome,
     splitmix64_uniforms,
     unmix64,
+    whole_block_monte_carlo,
 )
 
 import shelflife.simulate
 from shelflife.simulate import (
     BLOCK,
+    CHUNK,
     McEstimate,
     _end_times,
     _next_best,
@@ -324,6 +327,51 @@ class TestMonteCarlo:
             for lo in (0, BLOCK - m1 // 2, 2 * BLOCK - m1):
                 short = _payoffs(_uniforms(9, lo, m1), n, *policy)
                 assert np.array_equal(short, full[lo:lo + m1]), lo
+
+
+# (n, policy, trials): every policy class at trial counts around the sub-block
+# and block edges, then the three shapes the mc-rollout benchmark times
+SUB_BLOCK_CASES = [
+    (n, policy, trials)
+    for n, policy in [(100, (0, 0)), (100, (9, 9)), (100, (12, 41)),
+                      (10**15, (12 * 10**13, 42 * 10**13))]
+    for trials in [1, 2, CHUNK - 1, CHUNK, CHUNK + 1, BLOCK - 1, BLOCK, BLOCK + 1,
+                   2 * BLOCK + 777, 10**5]
+] + [(100, (12, 41), 8192), (100, (20, 60), 8192), (1000, (120, 417), 1024)]
+
+
+class TestSubBlocks:
+    """monte_carlo draws and rolls out CHUNK trials at a time into one buffer
+    but reduces whole BLOCKs, so it equals one draw per block bit for bit.
+    std_error is compared with the reference, not with a hex golden: np.dot
+    goes through BLAS, which may round differently on another machine or
+    with another BLAS thread count."""
+
+    @pytest.mark.parametrize("n, policy, trials", SUB_BLOCK_CASES)
+    def test_equals_whole_block_reference(self, n, policy, trials):
+        assert monte_carlo(n, policy, trials, 11) == whole_block_monte_carlo(n, policy, trials, 11)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096, BLOCK])
+    def test_any_sub_block_size_gives_the_same_estimate(self, monkeypatch, chunk):
+        monkeypatch.setattr(shelflife.simulate, "CHUNK", chunk)
+        cases = [(100, (12, 41), BLOCK + 1), (7, (0, 0), 9), (1000, (120, 417), 1)]
+        if chunk > 1:  # one trial per sub-block costs about 35 us a trial
+            cases += [(100, (9, 9), 2 * BLOCK + 777), (1000, (120, 417), 1024)]
+        for n, policy, trials in cases:
+            assert monte_carlo(n, policy, trials, 5) == whole_block_monte_carlo(n, policy, trials, 5)
+
+    def test_memory_bounded_by_the_sub_block(self):
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                monte_carlo(100, (12, 41), trials, 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_block, many = peak(BLOCK), peak(10**6)
+        assert many <= 2**20
+        assert many <= 1.5 * one_block
 
 
 class TestSplitMix64Uniforms:
