@@ -10,7 +10,9 @@ cell.  The `table` subcommand renders the summary table at fixed 6 decimals
 (round-half-even) so its output is byte-stable.  The per-k output (`pmf`,
 --table-out) is built `ROWS` rows at a time, never held whole; 4,096 rows keep
 a block's arrays and strings cache-sized, and the bytes are the same for any
-block size.  `main` builds one parser, on its first call, and reuses it.
+block size.  `main` builds one parser, on its first call, and reuses it; it
+hands an argv that starts with a command name straight to that command's
+parser, one argparse pass, with the top-level parser's results and messages.
 
 Exit codes: 0 success, 2 usage/domain, file I/O or out-of-memory error (an
 array too large to allocate, such as --table-out at n = 10^15), 3 numeric
@@ -221,15 +223,25 @@ def build_parser():
     _add_format_flags(p)
     p.set_defaults(func=cmd_asymptotic)
 
+    parser.commands = subs.choices  # command name -> its parser, for main
     return parser
 
 
-# built on main's first call; parse_args gives a new Namespace on every call
+# built on main's first call; each parse gives a new Namespace
 _parser = functools.cache(build_parser)
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:  # no argv, help, an unknown command or an option first
+        args = parser.parse_args(argv)
+    else:  # the one pass the top-level parser would hand on to the command's parser
+        args, extra = sub.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args.command = argv[0]
     try:
         sys.stdout.writelines(args.func(args))
         return 0

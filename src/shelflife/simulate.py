@@ -12,11 +12,12 @@ PRNG: SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) evaluated as a counter
 (Salmon et al., SC 2011) in numpy uint64 arithmetic, so only numpy core is
 loaded.  Uniform j of trial t is output 5t + j of the stream from state
 mix64(seed): a pure function of (seed, 5t + j), whatever block holds the
-trial.  Trials are reduced in blocks of ``BLOCK`` (np.sum and np.dot per
-block, math.fsum over blocks), so an estimate is bit-identical however it is
-run.  Each block is drawn and rolled out ``CHUNK`` trials at a time into one
-reused buffer, which keeps the temporaries cache-sized and the memory flat in
-the trial count; the sub-block size changes no bit of an estimate.
+trial.  Trials are reduced in blocks of ``BLOCK`` (np.sum of the payoffs and
+of their squares per block, math.fsum over blocks), so an estimate is
+bit-identical however it is run.  Each block is drawn and rolled out
+``CHUNK`` trials at a time into one reused buffer, which keeps the
+temporaries cache-sized and the memory flat in the trial count; the
+sub-block size changes no bit of an estimate.
 Seeded estimates differ from those of versions before this generator, which
 drew from numpy's Philox keyed per block.
 """
@@ -147,8 +148,9 @@ def monte_carlo(n: int, policy, trials: int, seed: int) -> McEstimate:
         for a in range(0, m, CHUNK):
             b = min(a + CHUNK, m)
             p[a:b] = _payoffs(_uniforms(seed, start + a, b - a), n, k1, k2)
-        sums.append(float(np.sum(p[:m])))
-        squares.append(float(np.dot(p[:m], p[:m])))
+        q = p[:m]
+        sums.append(float(np.sum(q)))
+        squares.append(float(np.sum(np.square(q, out=q))))  # np.dot rounds by BLAS thread count
     s1 = math.fsum(sums)
     s2 = math.fsum(squares)
     mean = s1 / trials

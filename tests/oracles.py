@@ -340,12 +340,13 @@ def splitmix64_uniforms(seed: int, start: int, m: int) -> list:
 def whole_block_monte_carlo(n: int, policy, trials: int, seed: int) -> McEstimate:
     """Oracle for ``monte_carlo``'s sub-blocks: each block of ``BLOCK`` trials
     is drawn and rolled out by one ``_payoffs(_uniforms(...))`` call, then
-    reduced by np.sum and np.dot, and the block sums by math.fsum."""
+    reduced by np.sum of the payoffs and of their squares, and the block sums
+    by math.fsum."""
     sums, squares = [], []
     for start in range(0, trials, BLOCK):
         p = _payoffs(_uniforms(seed, start, min(BLOCK, trials - start)), n, *policy)
         sums.append(float(np.sum(p)))
-        squares.append(float(np.dot(p, p)))
+        squares.append(float(np.sum(p * p)))
     s1, s2 = math.fsum(sums), math.fsum(squares)
     if trials > 1:
         var = max(0.0, (s2 - s1 * s1 / trials) / (trials - 1))
@@ -421,7 +422,7 @@ def dense_monte_carlo(n: int, policy, trials: int, seed: int):
         Y = rng.integers(1, highs, size=(min(rows, trials - done), n))
         p = _batch_outcomes(Y, *policy)[3]
         total += float(np.sum(p))
-        total_sq += float(np.dot(p, p))
+        total_sq += float(np.sum(p * p))
     mean = total / trials
     var = (total_sq - total * total / trials) / (trials - 1)
     return mean, math.sqrt(var / trials)

@@ -393,6 +393,77 @@ def test_parser_reuse_matches_fresh_parser(tmp_path, monkeypatch):
     assert cli.build_parser() is not cli.build_parser()
 
 
+# argvs that parse: every command, its options in another order, an abbreviation
+VALID_ARGV = [
+    ["solve", "--n", "10"], ["solve", "--n=10", "--csv"], ["solve", "--json", "--n", "10"],
+    ["solve", "--n", "10", "--cs"], ["solve", "--n", "1"],
+    ["table"], ["table", "--ns", "10,20"], ["table", "--ns", "1,x"],
+    ["simulate", "--n", "20", "--trials", "100", "--seed", "1"],
+    ["simulate", "--seed", "2", "--n", "20", "--k1", "2", "--k2", "8", "--trials", "50", "--csv"],
+    ["pmf", "--n", "6", "--i", "3", "--rank", "1"],
+    ["pmf", "--rank", "2", "--i", "2", "--n", "8", "--csv"],
+    ["asymptotic"], ["asymptotic", "--fine-n", "1000", "--csv"],
+]
+# help, which exits 0, and every class of usage error, which exits 2
+USAGE_ARGV = [
+    ["-h"], ["--help"], ["solve", "-h"], ["solve", "--n", "10", "--help"], ["table", "-h"],
+    ["simulate", "--help"], ["pmf", "-h"], ["asymptotic", "-h"],
+    ["solve"], ["pmf", "--n", "6"], ["solve", "--n"],
+    ["solve", "--n", "x"], ["simulate", "--n", "20", "--trials", "1.5"],
+    ["pmf", "--n", "6", "--i", "3", "--rank", "3"],
+    ["solve", "--n", "10", "--json", "--csv"], ["simulate", "--n", "20", "--csv", "--json"],
+    ["solve", "--n", "10", "--bogus"], ["solve", "--n", "10", "extra"], ["table", "--"],
+    ["solve", "--n", "10", "--", "x"], ["asymptotic", "-x"], ["pmf", "a", "--n", "6", "b"],
+    [], ["bogus"], ["--n", "10", "solve"], ["--", "solve", "--n", "10"], ["-x", "table"],
+]
+
+
+def _top_level_parser():
+    """The parser with no command listed, so main sends every argv through
+    the top level, which hands it on to the command's parser: two passes."""
+    parser = cli.build_parser()
+    parser.commands = {}
+    return parser
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV + USAGE_ARGV, ids=" ".join)
+def test_one_pass_matches_the_top_level_parser(argv, monkeypatch):
+    """main's one pass through the command's parser gives the exit code,
+    stdout, stderr and Namespace that the top-level parser gives."""
+    seen = []
+    for name in ("cmd_solve", "cmd_table", "cmd_simulate", "cmd_pmf", "cmd_asymptotic"):
+        monkeypatch.setattr(cli, name,
+                            lambda args, f=getattr(cli, name): seen.append(args) or f(args))
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    got = _call(argv)
+    monkeypatch.setattr(cli, "_parser", _top_level_parser)
+    want = _call(argv)
+    assert got == want
+    assert seen[::2] == seen[1::2]
+    assert len(seen) == 2 * (argv in VALID_ARGV)
+    if argv in VALID_ARGV:
+        assert seen[0] == cli.build_parser().parse_args(argv)
+    else:
+        assert want[0] == (0 if "-h" in argv or "--help" in argv else 2)
+        assert want[1] == "" or want[0] == 0
+
+
+@pytest.mark.parametrize("argv", [["solve", "--n", "10"], ["table"], ["solve", "-h"],
+                                  ["solve", "--n", "10", "--bogus"], ["pmf", "--n", "6"]],
+                         ids=" ".join)
+def test_command_argv_skips_the_top_level_parser(argv, monkeypatch):
+    """A command's argv is parsed once, by the command's parser; only the
+    other argvs reach the top-level parser's parse_known_args."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("top-level parse")
+
+    monkeypatch.setattr(cli._parser(), "parse_known_args", refuse)
+    assert _call(argv)[0] in (0, 2)
+    for other in ([], ["-h"], ["bogus"], ["--n", "10", "solve"]):
+        with pytest.raises(AssertionError, match="top-level parse"):
+            _call(other)
+
+
 class TestAsymptoticCommand:
     def test_constants_and_residuals(self, capsys):
         code, out, _ = run_cli(["asymptotic"], capsys)

@@ -1,6 +1,9 @@
 import collections
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -343,9 +346,8 @@ SUB_BLOCK_CASES = [
 class TestSubBlocks:
     """monte_carlo draws and rolls out CHUNK trials at a time into one buffer
     but reduces whole BLOCKs, so it equals one draw per block bit for bit.
-    std_error is compared with the reference, not with a hex golden: np.dot
-    goes through BLAS, which may round differently on another machine or
-    with another BLAS thread count."""
+    Both sums are numpy's pairwise np.sum, with no BLAS call, so the bits do
+    not depend on the BLAS thread count."""
 
     @pytest.mark.parametrize("n, policy, trials", SUB_BLOCK_CASES)
     def test_equals_whole_block_reference(self, n, policy, trials):
@@ -359,6 +361,31 @@ class TestSubBlocks:
             cases += [(100, (9, 9), 2 * BLOCK + 777), (1000, (120, 417), 1024)]
         for n, policy, trials in cases:
             assert monte_carlo(n, policy, trials, 5) == whole_block_monte_carlo(n, policy, trials, 5)
+
+    @pytest.mark.parametrize("n, policy, trials", [(100, (12, 41), 2 * BLOCK + 777),
+                                                   (100, (0, 0), BLOCK + 1),
+                                                   (10**15, (12 * 10**13, 42 * 10**13), 10**5)])
+    def test_sums_match_exact_summation(self, n, policy, trials):
+        """mean and std_error agree with math.fsum over every payoff and every
+        square of one: the pairwise sums lose at most a few ulp."""
+        p = np.concatenate([_payoffs(_uniforms(3, s, min(BLOCK, trials - s)), n, *policy)
+                            for s in range(0, trials, BLOCK)]).tolist()
+        s1, s2 = math.fsum(p), math.fsum(x * x for x in p)
+        std_error = math.sqrt((s2 - s1 * s1 / trials) / (trials - 1) / trials)
+        est = monte_carlo(n, policy, trials, 3)
+        assert est.mean == pytest.approx(s1 / trials, rel=1e-14, abs=0)
+        assert est.std_error == pytest.approx(std_error, rel=1e-12, abs=0)
+
+    def test_std_error_bits_do_not_depend_on_blas_threads(self):
+        script = ("from shelflife.simulate import BLOCK, monte_carlo\n"
+                  "print(monte_carlo(100, (12, 41), 2 * BLOCK + 777, 7).std_error.hex())\n")
+        outs = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            outs.add(subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                                    capture_output=True, text=True).stdout)
+        assert len(outs) == 1
 
     def test_memory_bounded_by_the_sub_block(self):
         def peak(trials):
