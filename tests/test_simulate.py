@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -40,6 +41,7 @@ from shelflife.simulate import (
     _payoffs,
     _rank_classes,
     _uniforms,
+    _work,
     exhaustive_policy_value,
     monte_carlo,
 )
@@ -400,6 +402,28 @@ class TestSubBlocks:
         assert many <= 2**20
         assert many <= 1.5 * one_block
 
+    @pytest.mark.parametrize("n, policy, trials", [(100, (12, 41), 8192),
+                                                   (100, (12, 41), 2 * BLOCK + 777),
+                                                   (1000, (120, 417), 1024)])
+    def test_later_calls_reuse_the_draw_arrays(self, n, policy, trials):
+        """After a thread's first call, a call allocates neither its draw
+        arrays (2 x 5 x CHUNK words) nor its payoff buffer: only the rollout's
+        temporaries, about 9 CHUNK floats."""
+        monte_carlo(n, policy, trials, 1)
+        tracemalloc.start()
+        try:
+            monte_carlo(n, policy, trials, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 8 * CHUNK
+
+    def test_threads_draw_into_their_own_arrays(self):
+        cases = [(100, (12, 41), BLOCK + 5, seed) for seed in range(8)]
+        serial = [monte_carlo(*c) for c in cases]
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert list(pool.map(lambda c: monte_carlo(*c), cases)) == serial
+
 
 class TestSplitMix64Uniforms:
     @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
@@ -411,6 +435,8 @@ class TestSplitMix64Uniforms:
             got = _uniforms(seed, start, 9)
         assert got.shape == (9, 5)
         assert got.tolist() == splitmix64_uniforms(seed, start, 9)
+        # drawn into larger work arrays, as monte_carlo draws a short sub-block
+        assert _uniforms(seed, start, 9, _work(16)).tolist() == got.tolist()
 
     @pytest.mark.parametrize("start", [1, BLOCK - 5, BLOCK, BLOCK + 3])
     def test_random_access(self, start):
