@@ -222,15 +222,6 @@ def _rank1_margin(k, k2, n, D, E, Q):
     return n * (D * (D + 2 * E - 3) - Q) + 2 * D + 3 * k2 - 2 * k - 1 - n
 
 
-class _PsiMemo(dict):
-    """_psi_exact by argument, each evaluated once, on first use.  One memo serves
-    the ties of one horizon n, which are all settled at one precision."""
-
-    def __missing__(self, x):
-        self[x] = psi = _psi_exact(x)
-        return psi
-
-
 def _decimal(n):  # the context that settles the near-ties of horizon n, at digits(n) + 30
     from decimal import Context, localcontext  # only ties need it; 3.10 lacks prec=
     return localcontext(Context(prec=len(str(n)) + 30))
@@ -275,7 +266,8 @@ def solve(n: int) -> SolveResult:
     Ties between stopping and continuing are resolved by stopping.
     """
     n = _check_horizon(n)
-    psi = _PsiMemo().__getitem__  # psi(n) and psi(k2) are the same at every tie
+    memo = {}  # psi by argument: one horizon's ties share one precision; psi(n), psi(k2) recur
+    psi = lambda x: memo[x] if x in memo else memo.setdefault(x, _psi_exact(x))
     k2, E = _last_true(_rank2_continues, 2, n, int(_B_LIMIT * n + _DELTA2), n, psi)
     k1, sums = _last_true(_rank1_continues, 1, k2 - 1, int(_A_LIMIT * n + _DELTA1), k2, n, psi, E)
     value = _closed_form(*sums, k1, k2, n) if k1 else payoff(1, 1, n)

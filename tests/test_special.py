@@ -246,7 +246,8 @@ class TestPsiExact:
     ids=["harmonic_diff", "trigamma_diff", "closed_form_value"],
 )
 @pytest.mark.parametrize(
-    "args", [(1.5, 3), (2.0, 4), (2, 4.0), (2, np.float64(4)), (True, 3), (2, True)]
+    "args", [(1.5, 3), (2.0, 4), (2, 4.0), (2, np.float64(4)), (True, 3), (2, True),
+             (np.True_, 3), (2, np.False_)]
 )
 def test_integer_arguments_checked_by_one_rule(evaluate, args):
     with pytest.raises(ValueError, match="must be an integer"):
