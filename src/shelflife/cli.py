@@ -8,11 +8,12 @@ order.  CSV has a header row and LF line endings; no field needs quoting, so
 it is plain formatting, with floats at repr precision and None as an empty
 cell.  The `table` subcommand renders the summary table at fixed 6 decimals
 (round-half-even) so its output is byte-stable.  The per-k output (`pmf`,
---table-out) is built `ROWS` rows at a time, never held whole; 4,096 rows keep
-a block's arrays and strings cache-sized, and the bytes are the same for any
-block size.  `main` builds one parser, on its first call, and reuses it; it
-hands an argv that starts with a command name straight to that command's
-parser, one argparse pass, with the top-level parser's results and messages.
+--table-out) is built `solver.ROWS` rows at a time, never held whole; 1,024
+rows keep a block's arrays and strings near 0.33 MiB, and the bytes are the
+same for any block size.  `main` builds one parser, on its first call, and
+reuses it; it hands an argv that starts with a command name straight to that
+command's parser, one argparse pass, with the top-level parser's results and
+messages.
 
 Exit codes: 0 success, 2 usage/domain, file I/O or out-of-memory error (an
 array too large to allocate, such as --table-out at n = 10^15), 3 numeric
@@ -27,7 +28,6 @@ import sys
 from . import asymptotic, simulate, solver
 
 TABLE_NS = (10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 200, 500, 1000)
-ROWS = 1 << 12  # rows per block of per-k output
 
 
 def _record(record, as_csv):
@@ -41,11 +41,11 @@ def _record(record, as_csv):
 def _blocks(head, lines, lo, hi, tail, eol="\n"):
     """Yield head, then the lines for k = lo..hi-1 separated by eol, then tail.
 
-    lines(a, b) gives the lines for k = a..b-1; they are built `ROWS` at a
-    time, so the text is never held whole."""
+    lines(a, b) gives the lines for k = a..b-1; they are built `solver.ROWS`
+    at a time, so the text is never held whole."""
     yield head
-    for a in range(lo, hi, ROWS):
-        block = eol.join(lines(a, min(a + ROWS, hi)))
+    for a in range(lo, hi, solver.ROWS):
+        block = eol.join(lines(a, min(a + solver.ROWS, hi)))
         yield block if a == lo else eol + block
     yield tail
 

@@ -28,6 +28,7 @@ from .special import _harmonic_block, _psi_exact, harmonic_diff, trigamma_diff
 # k2/n: delta1 is empirical, delta2 solves phi(k, 2) = M(k) to order 1/n (see TestThresholdRules).
 _A_LIMIT, _B_LIMIT, _ = asymptotic_solution()
 _DELTA1, _DELTA2 = 0.0783, (1 - 2 * _B_LIMIT) / (5 - 6 * _B_LIMIT + 2 * math.log(_B_LIMIT))
+ROWS = 1 << 10  # rows per block of every O(n) array and of the per-k CLI output
 
 
 class PolicyThresholds(NamedTuple):
@@ -58,11 +59,13 @@ class SolveResult:
 
     @cached_property
     def state_values(self):
-        phi1, phi2 = _payoff_block(1, self._n + 1, self._n)
-        cont = self.continuation
-        state_values = np.full((3, self._n + 1), np.nan)
-        state_values[1, 1:] = np.maximum(phi1, cont[2:])
-        state_values[2, 2:] = np.maximum(phi2[1:], cont[3:])
+        n, cont = self._n, self.continuation
+        state_values = np.full((3, n + 1), np.nan)
+        for a in range(1, n + 1, ROWS):
+            b = min(a + ROWS, n + 1)
+            for r, phi in enumerate(_payoff_block(a, b, n), 1):
+                np.maximum(phi, cont[a + 1 : b + 1], out=state_values[r, a:b])
+        state_values[2, 1] = np.nan
         return state_values
 
 
@@ -174,14 +177,24 @@ def _continuation(k2, n):
         candidate, so w~(k) = M(k-1) = phi1 - phi2 at k-1 (M(n) = 0);
       rank-1 only, 2 <= k <= k2: w~(k)/(k-1) sums phi1/(k(k-1)) on top of
         w~(k2+1)/k2.
+    Both are filled `ROWS` rows at a time straight into the result, the sum
+    from k2 down: each block's cumsum starts from the last partial sum of the
+    block above, and cumsum adds in order, so the bits are those of one sum
+    over the whole region, for any block size.
     """
     cont = np.zeros(n + 2)
-    lo = max(k2, 1) + 1
-    np.subtract(*_payoff_block(lo - 1, n + 1, n), out=cont[lo:])
-    if k2 >= 2:
-        k = np.arange(2, k2 + 1, dtype=np.float64)
-        tail = _payoff_block(2, k2 + 1, n)[0] / (k * (k - 1.0))
-        cont[2 : k2 + 1] = (np.cumsum(tail[::-1])[::-1] + cont[k2 + 1] / k2) * (k - 1.0)
+    for a in range(max(k2, 1) + 1, n + 2, ROWS):
+        b = min(a + ROWS, n + 2)
+        np.subtract(*_payoff_block(a - 1, b - 1, n), out=cont[a:b])
+    carry = 0.0  # the sum of phi1/(k(k-1)) over k = b..k2, the blocks above
+    for b in range(k2 + 1, 2, -ROWS):
+        a = max(b - ROWS, 2)
+        k = np.arange(a, b, dtype=np.float64)
+        tail = _payoff_block(a, b, n)[0] / (k * (k - 1.0))
+        tail[-1] += carry
+        tail = np.cumsum(tail[::-1])[::-1]
+        carry = tail[0]
+        cont[a:b] = (tail + cont[k2 + 1] / k2) * (k - 1.0)
     return cont
 
 

@@ -9,8 +9,9 @@ of the full payoff tables, policy values by enumerating all n! rank
 sequences, Monte Carlo trials as full rank sequences scanned one column at a
 time (drawn from numpy's Philox, a generator independent of the library's),
 the library's SplitMix64 uniforms one Python integer at a time, a Monte
-Carlo estimate with each reduction block drawn and rolled out whole, and CLI
-output as one csv.writer row per line or one json.dump.
+Carlo estimate with each reduction block drawn and rolled out whole, the
+continuation and state values over whole-horizon arrays, and CLI output as
+one csv.writer row per line or one json.dump.
 ``realized_outcome`` traces one explicit rank sequence position by
 position.  The n!-sequence sum is built on it, so it checks
 ``shelflife.simulate.exhaustive_policy_value``, which traces its rank
@@ -31,7 +32,6 @@ from shelflife._validate import _check_horizon
 from shelflife.simulate import BLOCK, McEstimate, _payoffs, _uniforms
 from shelflife.solver import (
     PolicyThresholds,
-    _continuation,
     _payoff_block,
     duration_pmf,
     payoff,
@@ -44,6 +44,28 @@ def payoff_tables(n):
     payoff kernel in one block, with M = phi1 - phi2."""
     phi1, phi2 = (np.append(0.0, phi) for phi in _payoff_block(1, n + 1, n))
     return phi1, phi2, phi1 - phi2
+
+
+def continuation_whole(k2, n):
+    """Oracle for ``solver._continuation``: the same closed forms over whole-horizon
+    arrays, the rank-1 region as one cumsum from k2 down."""
+    cont = np.zeros(n + 2)
+    lo = max(k2, 1) + 1
+    np.subtract(*_payoff_block(lo - 1, n + 1, n), out=cont[lo:])
+    if k2 >= 2:
+        k = np.arange(2, k2 + 1, dtype=np.float64)
+        tail = _payoff_block(2, k2 + 1, n)[0] / (k * (k - 1.0))
+        cont[2 : k2 + 1] = (np.cumsum(tail[::-1])[::-1] + cont[k2 + 1] / k2) * (k - 1.0)
+    return cont
+
+
+def state_values_whole(cont, n):
+    """Oracle for ``SolveResult.state_values`` from its continuation, over whole-horizon arrays."""
+    phi1, phi2 = _payoff_block(1, n + 1, n)
+    state_values = np.full((3, n + 1), np.nan)
+    state_values[1, 1:] = np.maximum(phi1, cont[2:])
+    state_values[2, 2:] = np.maximum(phi2[1:], cont[3:])
+    return state_values
 
 
 def _payoff_lists(n):
@@ -150,7 +172,7 @@ def solve_scan(n: int) -> PolicyThresholds:
     _check_horizon(n)
     phi1, phi2, M = payoff_tables(n)
     k2 = _last_below(phi2, M, 2, n)
-    cont = _continuation(k2, n)
+    cont = continuation_whole(k2, n)
     k1 = _last_below(phi1, cont[1:], 1, k2)
     return PolicyThresholds(k1, k2 if k1 else 0)
 

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import math
@@ -11,7 +12,7 @@ import tracemalloc
 import pytest
 from oracles import write_pmf_rows, write_table_out_rows
 
-from shelflife import asymptotic, cli
+from shelflife import asymptotic, cli, solver
 from shelflife.cli import main
 from shelflife.simulate import monte_carlo
 from shelflife.solver import policy_value, solve
@@ -33,6 +34,18 @@ N,k1,k2,v_N
 1000,120,417,0.404944
 inf,0.120381,0.417188,0.403827
 """
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+def _traced_peak(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def run_cli(argv, capsys):
@@ -139,9 +152,33 @@ class TestSolveCommand:
     def test_table_out_block_boundaries(self, tmp_path, monkeypatch, rows):
         old = tmp_path / "old.csv"
         write_table_out_rows(old, 10)
-        monkeypatch.setattr(cli, "ROWS", rows)
+        monkeypatch.setattr(solver, "ROWS", rows)
         blocks = "".join(cli._table_out_blocks(solve(10), 10))
         assert blocks == old.read_text()
+
+    @pytest.mark.parametrize("n,sha256", [
+        (10, "a72f0a83f11b4d7960ecf3ad0d6d78efb4db9cbb01c98d49c6113700e0617962"),
+        (1000, "62107b2aa7c418892db95c4ea70be4862a15ec4e2fd51cb957e2f34038572b54"),
+        (20000, "27e3af7e8a811962f74cd20537553aeeac9a08cc21d23d75c821d2d4eddd8f5a"),
+        (123457, "a32ddea8308cd9c2dacdfe5ee41c22d62f63d80fc5db030c77668cd057c1fa80"),
+    ])
+    def test_table_out_recorded_bytes(self, capsys, tmp_path, n, sha256):
+        # digests recorded from the whole-array continuation and 4,096-row writer blocks
+        path = tmp_path / "diag.csv"
+        assert run_cli(["solve", "--n", str(n), "--table-out", str(path)], capsys)[0] == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+    def test_table_out_peak_is_its_continuation(self, capsys, tmp_path):
+        n = 200000
+        argv = ["solve", "--n", str(n), "--table-out", str(tmp_path / "diag.csv")]
+        peak = _traced_peak(lambda: run_cli(argv, capsys))
+        assert peak < 8 * (n + 2) + 2**20
+
+    @needs_dev_full
+    def test_table_out_to_full_device_exits_2(self, capsys):
+        code, out, err = run_cli(["solve", "--n", "100000", "--table-out", "/dev/full"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno 28]")
 
     def test_domain_error_exits_2(self, capsys):
         code, out, err = run_cli(["solve", "--n", "1"], capsys)
@@ -180,24 +217,26 @@ class TestSolveCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: horizon must be at most 10**154")
 
-    def test_table_too_large_to_allocate_exits_2(self, tmp_path):
-        # 7.1 PiB is beyond a 47-bit address space, so the allocation fails at
-        # once and touches no memory
-        proc = subprocess.run(
-            [sys.executable, "-m", "shelflife", "solve", "--n", "1000000000000000",
-             "--table-out", str(tmp_path / "diag.csv")],
-            capture_output=True, text=True,
-        )
-        assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
-
-    def test_failed_table_out_leaves_no_file(self, tmp_path):
-        path = tmp_path / "diag.csv"
+    @pytest.fixture(scope="class")
+    def table_out_at_1e15(self, tmp_path_factory):
+        """One fresh process of solve --n 10**15 --table-out: the continuation,
+        7.1 PiB, is allocated before the file opens.  That is beyond a 47-bit
+        address space, so the allocation fails at once and touches no memory."""
+        path = tmp_path_factory.mktemp("table_out") / "diag.csv"
         proc = subprocess.run(
             [sys.executable, "-m", "shelflife", "solve", "--n", "1000000000000000",
              "--table-out", str(path)],
             capture_output=True, text=True,
         )
+        return proc, path
+
+    def test_table_too_large_to_allocate_exits_2(self, table_out_at_1e15):
+        proc, _ = table_out_at_1e15
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+    def test_failed_table_out_leaves_no_file(self, table_out_at_1e15):
+        proc, path = table_out_at_1e15
         assert proc.returncode == 2 and proc.stderr.startswith("error:")
         assert not path.exists()
 
@@ -369,21 +408,42 @@ class TestPmfCommand:
     def test_block_boundaries(self, monkeypatch, rows, i, r, as_csv):
         old = io.StringIO()
         write_pmf_rows(old, i, r, 10, as_csv)
-        monkeypatch.setattr(cli, "ROWS", rows)
+        monkeypatch.setattr(solver, "ROWS", rows)
         blocks = "".join(cli._pmf_blocks(i, r, 10, as_csv))
         assert blocks == old.getvalue()
 
     def test_memory_bounded_by_block(self):
         argv = ["pmf", "--n", "1000000", "--i", "1", "--rank", "1"]
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-            tracemalloc.start()
-            try:
-                code = main(argv)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert code == 0
-        assert peak < 4 * 2**20
+            codes = []
+            peak = _traced_peak(lambda: codes.append(main(argv)))
+        assert codes == [0]
+        assert peak < 2**20
+
+    @needs_dev_full
+    def test_stdout_to_full_device_exits_2(self):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "shelflife", "pmf", "--n", "100000", "--i", "2",
+                 "--rank", "1"],
+                stdout=full, stderr=subprocess.PIPE, text=True,
+            )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: [Errno 28]") and "Traceback" not in proc.stderr
+
+    def test_stdout_pipe_closed_by_reader_exits_2(self):
+        # the reader keeps 10 bytes and closes the pipe, as `| head -c 10` does
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "shelflife", "pmf", "--n", "100000", "--i", "2",
+             "--rank", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        assert proc.stdout.read(10) == '{"n": 1000'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 2
+        assert err.startswith("error: [Errno 32]") and "Traceback" not in err
 
 
 def _call(argv):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    continuation_whole,
     duration_pmf_loop,
     mean_operator_direct,
     payoff_fraction,
@@ -20,15 +21,18 @@ from oracles import (
     policy_value_loop,
     solve_loop,
     solve_scan,
+    state_values_whole,
 )
 
 from shelflife.asymptotic import phi_limit
 from shelflife.cli import TABLE_NS
 from shelflife.simulate import exhaustive_policy_value, monte_carlo
+from shelflife import solver
 from shelflife.solver import (
     PolicyThresholds,
     SolveResult,
     _TIE,
+    _continuation,
     _last_true,
     _payoff_block,
     _rank1_continues,
@@ -397,6 +401,59 @@ class TestBackwardInductionKernel:
         for r, phi in ((1, phi1), (2, phi2)):
             below = (phi < nxt)[r:]
             assert np.array_equal(below, k[r:] <= res.thresholds[r - 1]), r
+
+
+def _traced_peak(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockwiseArrays:
+    """continuation and state_values are filled `solver.ROWS` rows at a time
+    straight into their results: the same bits as the whole-array oracles,
+    for any block size, and no whole-horizon temporary beside the result."""
+
+    HORIZONS = ([*range(2, 300), 1022, 1023, 1024, 1025, 2047, 2048, 3075, 10**5, 10**6]
+                + random.Random(20261019).sample(range(300, 2 * 10**5), 16))
+
+    @staticmethod
+    def k2s(n):
+        return sorted({solve(n)._k2, 0, 1, 2, n // 3, n})
+
+    def test_continuation_bits(self):
+        for n in self.HORIZONS:
+            for k2 in self.k2s(n):
+                assert _continuation(k2, n).tobytes() == continuation_whole(k2, n).tobytes(), (n, k2)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    def test_continuation_bits_any_block_size(self, monkeypatch, rows):
+        monkeypatch.setattr(solver, "ROWS", rows)
+        for n in [*range(2, 40), 100, 299]:
+            for k2 in self.k2s(n):
+                assert _continuation(k2, n).tobytes() == continuation_whole(k2, n).tobytes(), (n, k2)
+
+    @pytest.mark.parametrize("rows", [1, 3, 1024])
+    def test_state_values_bits(self, monkeypatch, rows):
+        monkeypatch.setattr(solver, "ROWS", rows)
+        for n in [*range(2, 40), 299] + ([3075, 10**5] if rows > 3 else []):
+            res = solve(n)
+            want = state_values_whole(res.continuation, n)
+            assert res.state_values.tobytes() == want.tobytes(), n
+
+    def test_continuation_peak_is_its_result(self):
+        n = 10**6
+        res = solve(n)
+        assert _traced_peak(lambda: res.continuation) < 8 * (n + 2) + 2**20
+
+    def test_state_values_peak_is_its_result(self):
+        n = 10**6
+        res = solve(n)
+        res.continuation
+        assert _traced_peak(lambda: res.state_values) < 24 * (n + 1) + 2**20
 
 
 class TestThresholdSearch:
