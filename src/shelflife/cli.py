@@ -75,9 +75,10 @@ def _table_out_blocks(res, n):
     return _blocks(head, lines, 2, n + 1, "\n")
 
 
-def _pmf_blocks(i, r, n, as_csv):
+def cmd_pmf(args):
     """The pmf command's output; the arguments are checked before this returns."""
-    i, n, survive = solver._pmf_survive(i, r, n)
+    r, as_csv = args.rank, args.csv
+    i, n, survive = solver._pmf_survive(args.i, r, args.n)
     row = ("{},{!r}" if as_csv else '"{}": {!r}').format
 
     def lines(a, b):
@@ -147,10 +148,6 @@ def cmd_simulate(args):
         "z_score": z,
     }
     return _record(record, args.csv)
-
-
-def cmd_pmf(args):
-    return _pmf_blocks(args.i, args.rank, args.n, args.csv)
 
 
 def cmd_asymptotic(args):

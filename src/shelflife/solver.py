@@ -45,6 +45,7 @@ class SolveResult:
     state_values[r][k] is w(k, r), the optimal value at state (k, r); row 0 is
     unused and state (1, 2) does not exist (NaN).  continuation[k] is the
     value w~(k) of arriving at time k with nothing held; continuation[n+1] = 0.
+    Both follow the searched k2, also where the thresholds read (0, 0).
     """
 
     def __init__(self, thresholds, value, n, k2):
@@ -53,9 +54,7 @@ class SolveResult:
 
     @cached_property
     def continuation(self):
-        cont = _continuation(self._k2, self._n)
-        cont[1 : self.thresholds.k1 + 2] = self.value
-        return cont
+        return _continuation(self.thresholds.k1, self._k2, self._n, self.value)
 
     @cached_property
     def state_values(self):
@@ -83,6 +82,8 @@ def _payoff_block(lo: int, hi: int, n: int):
 def _pmf_survive(i: int, r: int, n: int):
     """Check (i, r, n) as duration_pmf does; return i, n as ints and the mass of key n + 1."""
     n = _check_horizon(n)
+    if n > 10**102:  # beyond, the denominator (k-2)(k-1)k at k = n overflows a float
+        raise ValueError(f"pmf horizon must be at most 10**102, got a {len(str(n))}-digit number")
     i = _check_int(i, "i", 1, n)
     r = _check_int(r, "rank", 1, 2)
     if r > i:
@@ -97,12 +98,12 @@ def _pmf_block(i: int, r: int, lo: int, hi: int) -> np.ndarray:
     The denominator (k-2)(k-1)k is rounded to float once: up to k = 94906267
     the pair (k-2)(k-1) <= 2^53 is exact in float64; beyond, the product is a
     Python int."""
-    k = np.arange(lo, hi)
     if hi <= 94906268:
+        k = np.arange(lo, hi)
         den = ((k - 2) * (k - 1)).astype(np.float64) * k
     else:
         den = np.array([float((j - 2) * (j - 1) * j) for j in range(lo, hi)])
-    num = 2.0 * (i - 1) * i if r == 2 else 2.0 * i * (k - i - 1)
+    num = 2.0 * (i - 1) * i if r == 2 else 2.0 * i * np.arange(lo - i - 1, hi - i - 1)
     # den is 0 only at k = 2 (i = 1, r = 1), where the item cannot leave
     return np.divide(num, den, out=np.zeros(len(den)), where=den > 0)
 
@@ -167,28 +168,28 @@ def mean_operator(k: int, n: int) -> float:
     return float(phi1[0] - phi2[0])
 
 
-def _continuation(k2, n):
-    """w~(k) for k = 2..n+1 (entries 0 and 1 unused) under the pair (0, k2).
-    From k1 + 1 on it is also w~ under any (k1, k2); below, that w~ is flat.
+def _continuation(k1, k2, n, value):
+    """w~(k) for k = 1..n+1 (entry 0 unused) under the pair (k1, k2), w~(1) = value.
 
-    The recursion w~(k) = [v1 + v2 + (k-2) w~(k+1)]/k is linear in each stop
-    region:
+    The recursion w~(k) = [v1 + v2 + (k-2) w~(k+1)]/k is linear in each stop region:
       all-stop, k > max(k2, 1): passing at k-1 and stopping at the next
         candidate, so w~(k) = M(k-1) = phi1 - phi2 at k-1 (M(n) = 0);
-      rank-1 only, 2 <= k <= k2: w~(k)/(k-1) sums phi1/(k(k-1)) on top of
-        w~(k2+1)/k2.
-    Both are filled `ROWS` rows at a time straight into the result, the sum
-    from k2 down: each block's cumsum starts from the last partial sum of the
-    block above, and cumsum adds in order, so the bits are those of one sum
+      rank-1 only, k1 + 2 <= k <= k2: w~(k)/(k-1) sums phi1/(k(k-1)) on top
+        of w~(k2+1)/k2;
+      none, k <= k1: w~(k) = w~(k+1), so w~ is the value up to k1 + 1.
+    The first two are filled `ROWS` rows at a time straight into the result, the
+    sum from k2 down: each block's cumsum starts from the last partial sum of
+    the block above, and cumsum adds in order, so the bits are those of one sum
     over the whole region, for any block size.
     """
     cont = np.zeros(n + 2)
+    cont[1 : k1 + 2] = value
     for a in range(max(k2, 1) + 1, n + 2, ROWS):
         b = min(a + ROWS, n + 2)
         np.subtract(*_payoff_block(a - 1, b - 1, n), out=cont[a:b])
     carry = 0.0  # the sum of phi1/(k(k-1)) over k = b..k2, the blocks above
-    for b in range(k2 + 1, 2, -ROWS):
-        a = max(b - ROWS, 2)
+    for b in range(k2 + 1, k1 + 2, -ROWS):
+        a = max(b - ROWS, k1 + 2)
         k = np.arange(a, b, dtype=np.float64)
         tail = _payoff_block(a, b, n)[0] / (k * (k - 1.0))
         tail[-1] += carry

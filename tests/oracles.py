@@ -46,16 +46,17 @@ def payoff_tables(n):
     return phi1, phi2, phi1 - phi2
 
 
-def continuation_whole(k2, n):
+def continuation_whole(k1, k2, n, value):
     """Oracle for ``solver._continuation``: the same closed forms over whole-horizon
     arrays, the rank-1 region as one cumsum from k2 down."""
     cont = np.zeros(n + 2)
+    cont[1 : k1 + 2] = value
     lo = max(k2, 1) + 1
     np.subtract(*_payoff_block(lo - 1, n + 1, n), out=cont[lo:])
-    if k2 >= 2:
-        k = np.arange(2, k2 + 1, dtype=np.float64)
-        tail = _payoff_block(2, k2 + 1, n)[0] / (k * (k - 1.0))
-        cont[2 : k2 + 1] = (np.cumsum(tail[::-1])[::-1] + cont[k2 + 1] / k2) * (k - 1.0)
+    if k2 >= k1 + 2:
+        k = np.arange(k1 + 2, k2 + 1, dtype=np.float64)
+        tail = _payoff_block(k1 + 2, k2 + 1, n)[0] / (k * (k - 1.0))
+        cont[k1 + 2 : k2 + 1] = (np.cumsum(tail[::-1])[::-1] + cont[k2 + 1] / k2) * (k - 1.0)
     return cont
 
 
@@ -172,7 +173,7 @@ def solve_scan(n: int) -> PolicyThresholds:
     _check_horizon(n)
     phi1, phi2, M = payoff_tables(n)
     k2 = _last_below(phi2, M, 2, n)
-    cont = continuation_whole(k2, n)
+    cont = continuation_whole(0, k2, n, np.nan)  # w~ under (0, k2); cont[1] is not read
     k1 = _last_below(phi1, cont[1:], 1, k2)
     return PolicyThresholds(k1, k2 if k1 else 0)
 
@@ -189,12 +190,12 @@ def policy_value_loop(policy, n: int) -> float:
     return p1[1] if k1 == 0 else c
 
 
-def policy_value_fraction(policy, n: int) -> Fraction:
-    """Oracle for ``policy_value`` and ``exhaustive_policy_value``: the
-    forced-decision recursion of :func:`policy_value_loop` in exact
-    rationals, with the payoffs from their closed forms
-    phi(k, 1) = (k/n^2)(1 + k - n + 2n sum_{j=k}^{n-1} 1/j) and
-    phi(k, 2) = k(n - k + 1)/n^2."""
+def continuation_fraction(policy, n: int) -> list:
+    """Oracle for ``SolveResult.continuation``: w~(k) at k = 0..n+1 (entry 0
+    unused) under a threshold pair, by the forced-decision recursion of
+    :func:`policy_value_loop` in exact rationals, with the payoffs from their
+    closed forms phi(k, 1) = (k/n^2)(1 + k - n + 2n sum_{j=k}^{n-1} 1/j) and
+    phi(k, 2) = k(n - k + 1)/n^2.  w~(1) is the policy's value."""
     k1, k2 = policy
     H = [Fraction(0)] * (n + 1)
     for k in range(n - 1, 0, -1):
@@ -203,17 +204,25 @@ def policy_value_fraction(policy, n: int) -> Fraction:
     def phi1(k):
         return Fraction(k, n * n) * (1 + k - n + 2 * n * H[k])
 
-    c = Fraction(0)
+    cont = [Fraction(0)] * (n + 2)
     for k in range(n, 1, -1):
+        c = cont[k + 1]
         v1 = phi1(k) if k > k1 else c
         v2 = Fraction(k * (n - k + 1), n * n) if k > k2 else c
-        c = (v1 + v2 + (k - 2) * c) / k
-    return phi1(1) if k1 == 0 else c
+        cont[k] = (v1 + v2 + (k - 2) * c) / k
+    cont[1] = phi1(1) if k1 == 0 else cont[2]
+    return cont
+
+
+def policy_value_fraction(policy, n: int) -> Fraction:
+    """Oracle for ``policy_value`` and ``exhaustive_policy_value``: w~(1) of
+    :func:`continuation_fraction`."""
+    return continuation_fraction(policy, n)[1]
 
 
 def payoff_fraction(k: int, r: int, n: int) -> Fraction:
     """Oracle for ``payoff`` in exact rationals, from the closed forms used by
-    :func:`policy_value_fraction`."""
+    :func:`continuation_fraction`."""
     if r == 2:
         return Fraction(k * (n - k + 1), n * n)
     H = sum((Fraction(1, j) for j in range(k, n)), Fraction(0))

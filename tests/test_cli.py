@@ -2,12 +2,15 @@ import contextlib
 import functools
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from oracles import write_pmf_rows, write_table_out_rows
@@ -46,6 +49,18 @@ def _traced_peak(f):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _traced_peaks(argv_of, ns):
+    """The traced peak of main(argv_of(n)) for each n, stdout discarded, after
+    one warm call at n = 1000 that makes the first-call allocations."""
+    peaks = []
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        for n in (1000, *ns):
+            codes = []
+            peaks.append(_traced_peak(lambda: codes.append(main(argv_of(n)))))
+            assert codes == [0], n
+    return peaks[1:]
 
 
 def run_cli(argv, capsys):
@@ -168,11 +183,15 @@ class TestSolveCommand:
         assert run_cli(["solve", "--n", str(n), "--table-out", str(path)], capsys)[0] == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
-    def test_table_out_peak_is_its_continuation(self, capsys, tmp_path):
-        n = 200000
-        argv = ["solve", "--n", str(n), "--table-out", str(tmp_path / "diag.csv")]
-        peak = _traced_peak(lambda: run_cli(argv, capsys))
-        assert peak < 8 * (n + 2) + 2**20
+    def test_table_out_peak_is_its_continuation(self, tmp_path):
+        # beyond the continuation, one block's worth at both horizons (measured
+        # 356 and 383 KiB); a float array of n entries beside it would grow by 312 KiB
+        ns = (20000, 60000)
+        peaks = _traced_peaks(
+            lambda n: ["solve", "--n", str(n), "--table-out", str(tmp_path / "diag.csv")], ns)
+        small, large = (peak - 8 * (n + 2) for peak, n in zip(peaks, ns))
+        assert small < 2**20 and large < 2**20
+        assert large - small <= 2**16
 
     @needs_dev_full
     def test_table_out_to_full_device_exits_2(self, capsys):
@@ -383,6 +402,21 @@ class TestPmfCommand:
         assert code == 2
         assert "rank 2" in err
 
+    @pytest.mark.parametrize("n", [2**63 + 10, 10**102], ids=["2^63+10", "1e102"])
+    def test_huge_horizon_matches_record_writer(self, capsys, n):
+        code, out, err = run_cli(["pmf", "--n", str(n), "--i", str(n - 5), "--rank", "1"], capsys)
+        assert code == 0 and err == ""
+        old = io.StringIO()
+        write_pmf_rows(old, n - 5, 1, n, False)
+        assert out == old.getvalue()
+
+    def test_horizon_above_1e102_exits_2(self, capsys):
+        # beyond, the denominators overflow a float: refused before any output
+        n = str(10**103)
+        code, out, err = run_cli(["pmf", "--n", n, "--i", n, "--rank", "1"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: pmf horizon must be at most 10**102")
+
     def test_rank_choices_enforced_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["pmf", "--n", "5", "--i", "2", "--rank", "3"])
@@ -409,16 +443,15 @@ class TestPmfCommand:
         old = io.StringIO()
         write_pmf_rows(old, i, r, 10, as_csv)
         monkeypatch.setattr(solver, "ROWS", rows)
-        blocks = "".join(cli._pmf_blocks(i, r, 10, as_csv))
+        blocks = "".join(cli.cmd_pmf(SimpleNamespace(i=i, rank=r, n=10, csv=as_csv)))
         assert blocks == old.getvalue()
 
     def test_memory_bounded_by_block(self):
-        argv = ["pmf", "--n", "1000000", "--i", "1", "--rank", "1"]
-        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-            codes = []
-            peak = _traced_peak(lambda: codes.append(main(argv)))
-        assert codes == [0]
-        assert peak < 2**20
+        # one block's worth at either horizon (measured 193 KiB at both)
+        small, large = _traced_peaks(
+            lambda n: ["pmf", "--n", str(n), "--i", "1", "--rank", "1"], (20000, 100000))
+        assert small < 2**20 and large < 2**20
+        assert abs(large - small) <= 2**16
 
     @needs_dev_full
     def test_stdout_to_full_device_exits_2(self):
@@ -551,6 +584,110 @@ def test_command_argv_skips_the_top_level_parser(argv, monkeypatch):
     for other in ([], ["-h"], ["bogus"], ["--n", "10", "solve"]):
         with pytest.raises(AssertionError, match="top-level parse"):
             _call(other)
+
+
+# 60 argvs take about 4 s on a 2-core host: a horizon near 10^154 costs about 0.8 s
+FUZZ_CALLS = 60
+FUZZ_BOUNDARIES = [-10**20, -1, 0, 1, 2, 3, 8, 9, 10**4, 2**61, 2**61 + 1, 2**63, 2**64,
+                   10**15, 10**154, 10**154 + 1, 10**155]
+FUZZ_OPTIONS = {"solve": ["--n", "--table-out"], "table": ["--ns"],
+                "simulate": ["--n", "--k1", "--k2", "--trials", "--seed"],
+                "pmf": ["--n", "--i", "--rank"], "asymptotic": ["--fine-n"]}
+# options a tame argv always gives; --trials is never dropped, as its default of
+# 10^5 trials is more work than a call may do
+FUZZ_REQUIRED = {"--n", "--i", "--rank", "--trials"}
+
+
+def _as_int(text):
+    try:
+        return int(text)  # what argparse's type=int accepts
+    except ValueError:
+        return None
+
+
+def _fuzz_int(rng, wild):
+    """Option text: a small integer, a boundary, an integer of 1 to 155 digits
+    (negative down to -10^20) or, if wild, text that is not an integer."""
+    roll = rng.random()
+    if roll < 0.4:
+        return str(rng.randint(-1, 40))
+    if roll < 0.6:
+        return str(rng.choice(FUZZ_BOUNDARIES))
+    if roll < 0.9 or not wild:
+        digits = rng.randint(1, 155)
+        x = rng.randint(10 ** (digits - 1), 10**digits)
+        return str(-x if digits <= 20 and rng.random() < 0.2 else x)
+    return rng.choice(["1.5", "2.0", "1e3", "x", "", "0x10", "nan", "-"])
+
+
+def _fuzz_value(rng, opt, last, path, wild):
+    if opt == "--ns":
+        return ",".join(_fuzz_int(rng, wild) for _ in range(rng.randint(0, 3)))
+    if opt == "--rank":
+        return rng.choice(["1", "2", "0", "3", "x"] if wild else ["1", "2"])
+    if opt == "--table-out":
+        return path
+    n = _as_int(last.get("--n", ""))
+    if opt == "--i" and n is not None and rng.random() < 0.7:
+        return str(n - rng.randint(-1, 10**4))
+    return _fuzz_int(rng, wild)
+
+
+def _bounded(command, last):
+    """Whether the call's work is bounded: at most 10^4 trials (or above 2^61,
+    refused), 10^4 pmf rows, and --table-out rows (or 10^15 and more, refused)."""
+    n, i, trials = (_as_int(last.get(opt, "")) for opt in ("--n", "--i", "--trials"))
+    if command == "simulate" and not (trials is None or trials <= 10**4 or trials > 2**61):
+        return False
+    if command == "pmf" and n is not None and i is not None and 1 <= i <= n:
+        return n - i <= 10**4
+    return "--table-out" not in last or n is None or n <= 10**4 or n >= 10**15
+
+
+def _fuzz_argv(rng, path):
+    """One argv of a random command, with integers of any size.  Half the argvs
+    are wild: they also drop required options, repeat options, give text that
+    is not an integer, and add clashing or unknown flags."""
+    command, wild = rng.choice(list(FUZZ_OPTIONS)), rng.random() < 0.5
+    while True:
+        pairs, last = [], {}
+        for opt in FUZZ_OPTIONS[command]:
+            drop = 0.5 if opt not in FUZZ_REQUIRED else 0.15 if wild else 0
+            if opt != "--trials" and rng.random() < drop:
+                continue
+            for _ in range(2 if wild and rng.random() < 0.15 else 1):
+                last[opt] = _fuzz_value(rng, opt, last, path, wild)
+                pairs.append((opt, last[opt]))
+        rng.shuffle(pairs)
+        if _bounded(command, dict(pairs)):  # argparse keeps an option's last value
+            break
+    flags = rng.choice([[], ["--csv"], ["--json"]] + wild * [["--csv", "--json"], ["--bogus"]])
+    if command == "table" and not wild:
+        flags = []  # table has no format flags
+    return [command, *itertools.chain.from_iterable(pairs), *flags]
+
+
+@pytest.mark.filterwarnings("error")
+def test_contract_fuzz(tmp_path):
+    """Seeded argvs of every command keep the exit-code contract: 0, 2 or 3; on
+    a failure nothing on stdout and one message on stderr, never a traceback."""
+    rng = random.Random(20261019)
+    path = str(tmp_path / "diag.csv")
+    codes, commands = [], set()
+    for _ in range(FUZZ_CALLS):
+        argv = _fuzz_argv(rng, path)
+        code, out, err = _call(argv)
+        codes.append(code)
+        commands.add(argv[0])
+        assert code in (0, 2, 3), argv
+        assert "Traceback" not in err, argv
+        if code == 0:
+            assert out and err == "", argv
+        else:
+            assert out == "", argv
+            assert err.startswith(("usage: shelflife", "error:", "numeric failure:")), argv
+    assert commands == set(FUZZ_OPTIONS)
+    assert codes.count(0) > FUZZ_CALLS // 10 and codes.count(2) > FUZZ_CALLS // 10
 
 
 class TestAsymptoticCommand:

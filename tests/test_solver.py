@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    continuation_fraction,
     continuation_whole,
     duration_pmf_loop,
     mean_operator_direct,
@@ -137,6 +139,15 @@ class TestDurationPmf:
             assert _bits(pmf) == _bits(duration_pmf_loop(i, r, n))
             assert all(type(p) is float for p in pmf.values())
 
+    # past 2^63 the times leave int64; at 10^102, (k-2)(k-1)k is near the float maximum
+    @pytest.mark.parametrize("n", [2**63 + 10, 10**20, 10**102], ids=["2^63+10", "1e20", "1e102"])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_bits_match_loop_huge_n(self, n, r):
+        for i in (n - 5, n):
+            pmf = duration_pmf(i, r, n)
+            assert _bits(pmf) == _bits(duration_pmf_loop(i, r, n))
+            assert all(type(p) is float for p in pmf.values())
+
     def test_domain(self):
         with pytest.raises(ValueError):
             duration_pmf(1, 2, 5)  # rank 2 impossible at time 1
@@ -144,6 +155,8 @@ class TestDurationPmf:
             duration_pmf(6, 1, 5)
         with pytest.raises(ValueError):
             duration_pmf(2, 3, 5)
+        with pytest.raises(ValueError, match="at most 10..102"):
+            duration_pmf(10**103, 1, 10**103)  # (k-2)(k-1)k would overflow a float
 
 
 class TestPayoff:
@@ -311,6 +324,15 @@ class TestSolve:
         head = res.continuation[1 : k1 + 2]
         assert np.all(head == head[0])
 
+    def test_continuation_against_exact_rationals(self):
+        # all three stop regions under (k1, searched k2); measured worst 2.24e-16,
+        # at n = 120, k = 48
+        for n in [*range(2, 121), 300, 1000]:
+            res = solve(n)
+            exact = continuation_fraction((res.thresholds.k1, res._k2), n)
+            err = max(abs(Fraction(c) - e) for c, e in zip(res.continuation.tolist(), exact))
+            assert err <= 4e-16, n
+
     def test_state_values(self):
         n = 30
         res = solve(n)
@@ -389,9 +411,8 @@ class TestBackwardInductionKernel:
             assert res.value.hex() == policy_value(res.thresholds, n).hex(), n
         assert [n for n in range(2, 400) if solve(n).thresholds.k1 == 0] == list(range(2, 9))
 
-    @given(st.integers(9, 3000))
-    @settings(max_examples=100, deadline=None)
-    def test_stop_regions_are_one_sided(self, n):
+    @staticmethod
+    def check_one_sided(n):
         # phi_r(k) < w~(k+1) exactly for k <= k_r: the single crossing that
         # lets each stop region be summed in one pass
         res = solve(n)
@@ -400,7 +421,20 @@ class TestBackwardInductionKernel:
         nxt = res.continuation[1:]
         for r, phi in ((1, phi1), (2, phi2)):
             below = (phi < nxt)[r:]
-            assert np.array_equal(below, k[r:] <= res.thresholds[r - 1]), r
+            assert np.array_equal(below, k[r:] <= res.thresholds[r - 1]), (n, r)
+
+    @given(st.integers(9, 3000))
+    @settings(max_examples=100, deadline=None)
+    def test_stop_regions_are_one_sided(self, n):
+        self.check_one_sided(n)
+
+    def test_stop_regions_are_one_sided_to_400(self):
+        # n <= 8 reports the canonical (0, 0), while the continuation follows the
+        # searched k2: at n = 5..8, phi(k, 2) < w~(k+1) at some k > 0, so the
+        # rank-2 region is not one-sided there (at n = 8, phi(2, 2) = 0.21875 <
+        # w~(3) = 0.4446); every other n in 2..400 holds
+        for n in range(9, 401):
+            self.check_one_sided(n)
 
 
 def _traced_peak(f):
@@ -421,20 +455,28 @@ class TestBlockwiseArrays:
                 + random.Random(20261019).sample(range(300, 2 * 10**5), 16))
 
     @staticmethod
-    def k2s(n):
-        return sorted({solve(n)._k2, 0, 1, 2, n // 3, n})
+    def pairs(n):
+        """(k1, k2, value): the solved k1 with the searched k2, and pairs that leave
+        one stop region empty or give it one row."""
+        res = solve(n)
+        pairs = {(res.thresholds.k1, res._k2), (0, 0), (0, 1), (0, 2), (0, n // 3), (0, n),
+                 (n // 4, n // 3), (n - 2, n), (n - 1, n)}
+        return [(k1, k2, policy_value((k1, k2), n)) for k1, k2 in sorted(pairs)
+                if 0 <= k1 < k2 or k1 == k2 == 0]
 
     def test_continuation_bits(self):
         for n in self.HORIZONS:
-            for k2 in self.k2s(n):
-                assert _continuation(k2, n).tobytes() == continuation_whole(k2, n).tobytes(), (n, k2)
+            for k1, k2, value in self.pairs(n):
+                args = k1, k2, n, value
+                assert _continuation(*args).tobytes() == continuation_whole(*args).tobytes(), args
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 7])
     def test_continuation_bits_any_block_size(self, monkeypatch, rows):
         monkeypatch.setattr(solver, "ROWS", rows)
         for n in [*range(2, 40), 100, 299]:
-            for k2 in self.k2s(n):
-                assert _continuation(k2, n).tobytes() == continuation_whole(k2, n).tobytes(), (n, k2)
+            for k1, k2, value in self.pairs(n):
+                args = k1, k2, n, value
+                assert _continuation(*args).tobytes() == continuation_whole(*args).tobytes(), args
 
     @pytest.mark.parametrize("rows", [1, 3, 1024])
     def test_state_values_bits(self, monkeypatch, rows):
