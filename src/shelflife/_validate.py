@@ -1,11 +1,11 @@
 """Argument rules shared by every module: one integer check and what is built on it.
 
-A float, even an integral one such as 2.0, and a bool are rejected; Python
-and numpy integers are accepted and returned as Python ints, so that
-arithmetic on them cannot wrap around as fixed-width numpy integers do.
+A float, even an integral one such as 2.0, and a bool are rejected; any
+numbers.Integral (numpy registers its integer scalars as such) is returned as a
+Python int, so that arithmetic on it cannot wrap around as numpy integers do.
 """
 
-import numpy as np
+import numbers
 
 MAX_HORIZON = 10**154  # the closed forms take 1/n**2; n * n overflows a float from 1.34e154
 
@@ -13,7 +13,7 @@ MAX_HORIZON = 10**154  # the closed forms take 1/n**2; n * n overflows a float f
 def _check_int(x, name, lo=None, hi=None):
     """x as a Python int; reject anything but a non-bool integer in lo..hi (hi optional)."""
     if type(x) is not int:
-        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        if isinstance(x, bool) or not isinstance(x, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {x!r}")
         x = int(x)
     if lo is not None and (x < lo or (hi is not None and x > hi)):

@@ -26,6 +26,7 @@ import json
 import sys
 
 from . import asymptotic, simulate, solver
+from ._validate import _check_horizon
 
 TABLE_NS = (10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 200, 500, 1000)
 
@@ -93,6 +94,10 @@ def cmd_pmf(args):
 
 
 def cmd_solve(args):
+    if args.table_out is not None and _check_horizon(args.n) + 2 > sys.maxsize // 8:
+        # numpy cannot shape the continuation however much memory there is
+        raise ValueError(f"--table-out horizon must be at most {sys.maxsize // 8 - 2}, "
+                         f"got a {len(str(args.n))}-digit number")
     res = solver.solve(args.n)
     record = {
         "n": args.n,
@@ -127,12 +132,12 @@ def cmd_table(args):
 
 
 def cmd_simulate(args):
-    if args.k1 is None or args.k2 is None:
+    simulate._check_run(args.trials, args.seed)  # before the search, which may take a second
+    k1, k2 = args.k1, args.k2
+    if k1 is None or k2 is None:
         thresholds = solver.solve(args.n).thresholds
-        k1 = thresholds.k1 if args.k1 is None else args.k1
-        k2 = thresholds.k2 if args.k2 is None else args.k2
-    else:
-        k1, k2 = args.k1, args.k2
+        k1 = thresholds.k1 if k1 is None else k1
+        k2 = thresholds.k2 if k2 is None else k2
     est = simulate.monte_carlo(args.n, (k1, k2), args.trials, args.seed)
     exact = solver.policy_value((k1, k2), args.n)
     z = (est.mean - exact) / est.std_error if est.std_error > 0 else None

@@ -17,12 +17,11 @@ of their squares per block, math.fsum over blocks), so an estimate is
 bit-identical however it is run.  Each block is drawn and rolled out
 ``CHUNK`` trials at a time into arrays that each thread keeps from call to
 call, which keeps the temporaries cache-sized and the memory flat in the
-trial count; the sub-block size changes no bit of an estimate.  A call
-allocates no array larger than CHUNK payoffs: when each call freed its own
-draw arrays, glibc could trim them off the heap top, and in some heap
-layouts every later call faulted those pages in again, 40% slower.
-Seeded estimates differ from those of versions before this generator, which
-drew from numpy's Philox keyed per block.
+trial count; the sub-block size changes no bit of an estimate.  A draw
+allocates nothing, and a call no array larger than CHUNK payoffs: when each
+call freed its own draw arrays, glibc could trim them off the heap top, and
+in some heap layouts every later call faulted those pages in again, 40%
+slower.
 """
 
 import math
@@ -106,10 +105,9 @@ def _payoffs(U, n, k1, k2):
     return np.where(stop <= n, (end - stop) / n, 0.0)
 
 
-def _mix64(z, t=None):
-    """SplitMix64's output function, in place on a uint64 array (which wraps).
-    The shifted copies go to t, a uint64 array of z's shape, if it is given."""
-    t = np.empty_like(z) if t is None else t
+def _mix64(z, t):
+    """SplitMix64's output function, in place on a uint64 array (which wraps),
+    with t, a uint64 array of z's shape, for the shifted copies."""
     z ^= np.right_shift(z, 30, out=t)
     z *= 0xBF58476D1CE4E5B9
     z ^= np.right_shift(z, 27, out=t)
@@ -137,18 +135,18 @@ def _thread_work():
     return ws
 
 
-def _uniforms(seed, start, m, work=None):
-    """The (m, 5) uniforms in (0, 1] of trials start..start+m-1, in work's
-    float array if work (see :func:`_work`) is given.
+def _uniforms(seed, start, m, work):
+    """The (m, 5) uniforms in (0, 1] of trials start..start+m-1, drawn into
+    work (see :func:`_work`) without allocating.
 
     Entry j of trial t is output 5t + j of the SplitMix64 stream whose state
     starts at mix64(seed), z = mix64(key + (5t + j + 1) * GAMMA), taken as
-    ((z >> 11) + 1) * 2**-53.  The seed is mixed as an array: arithmetic on a
-    numpy uint64 scalar warns when it wraps.
+    ((z >> 11) + 1) * 2**-53.
     """
-    steps, z, u = work or _work(m)
+    steps, z, u = work
     z, u = z[:5 * m], u[:5 * m]
-    key = int(_mix64(np.array([seed], dtype=np.uint64))[0])
+    z[0] = seed  # mixed as an array: a numpy uint64 scalar warns when it wraps
+    key = int(_mix64(z[:1], u[:1].view(np.uint64))[0])
     np.add(steps[:5 * m], (key + 5 * start * GAMMA) % 2**64, out=z)
     _mix64(z, u.view(np.uint64))  # u is free until the last step
     z >>= 11
@@ -158,17 +156,20 @@ def _uniforms(seed, start, m, work=None):
     return u.reshape(m, 5)
 
 
+def _check_run(trials, seed):
+    """trials in 1..2**61, so that 5 * trials fits in 64 bits, and seed in 0..2**64-1."""
+    return _check_int(trials, "trials", 1, 2**61), _check_int(seed, "seed", 0, 2**64 - 1)
+
+
 def monte_carlo(n: int, policy, trials: int, seed: int) -> McEstimate:
     """Estimate a policy's expected normalized duration by simulation.
 
     Deterministic for fixed (seed, trials); see the module docstring for the
-    stream layout.  trials is at most 2**61, so the counter 5 * trials fits
-    in 64 bits.
+    stream layout, and :func:`_check_run` for their ranges.
     """
     n = _check_horizon(n)
     k1, k2 = _check_policy(policy, n)
-    trials = _check_int(trials, "trials", 1, 2**61)
-    seed = _check_int(seed, "seed", 0, 2**64 - 1)
+    trials, seed = _check_run(trials, seed)
     sums, squares = [], []
     work, p = _thread_work()
     for start in range(0, trials, BLOCK):

@@ -149,9 +149,7 @@ def transition_prob(k: int, s: Optional[int], n: int) -> float:
     k = _check_int(k, "k", 2, n)
     if s is None:
         return k * (k - 1) / (n * (n - 1))
-    s = _check_int(s, "s")
-    if not k < s <= n:
-        raise ValueError(f"s must be in {k + 1}..{n} or None, got {s}")
+    s = _check_int(s, "s", k + 1, n)
     return k * (k - 1) / (s * (s - 1) * (s - 2))
 
 
@@ -316,10 +314,8 @@ def closed_form_value(k1: int, k2: int, n: int) -> float:
     all-stop region).
     """
     n = _check_horizon(n)
-    k1 = _check_int(k1, "k1")
-    k2 = _check_int(k2, "k2")
-    if not 1 <= k1 < k2 <= n:
-        raise ValueError(f"need 1 <= k1 < k2 <= n, got ({k1}, {k2}) with n={n}")
+    k2 = _check_int(k2, "k2", 2, n)
+    k1 = _check_int(k1, "k1", 1, k2 - 1)
     return _closed_form(*_sums(k1, k2, n), k1, k2, n)
 
 

@@ -29,7 +29,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from shelflife._validate import _check_horizon
-from shelflife.simulate import BLOCK, McEstimate, _payoffs, _uniforms
+from shelflife.simulate import BLOCK, McEstimate, _payoffs, _uniforms, _work
 from shelflife.solver import (
     PolicyThresholds,
     _payoff_block,
@@ -375,7 +375,8 @@ def whole_block_monte_carlo(n: int, policy, trials: int, seed: int) -> McEstimat
     by math.fsum."""
     sums, squares = [], []
     for start in range(0, trials, BLOCK):
-        p = _payoffs(_uniforms(seed, start, min(BLOCK, trials - start)), n, *policy)
+        m = min(BLOCK, trials - start)
+        p = _payoffs(_uniforms(seed, start, m, _work(m)), n, *policy)
         sums.append(float(np.sum(p)))
         squares.append(float(np.sum(p * p)))
     s1, s2 = math.fsum(sums), math.fsum(squares)

@@ -69,6 +69,15 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+@pytest.fixture
+def no_search(monkeypatch):
+    """solver.solve fails the test if any command calls it."""
+    def refuse(n):
+        raise AssertionError(f"searched n = {n}")
+
+    monkeypatch.setattr(cli.solver, "solve", refuse)
+
+
 def _solve_record():
     res = solve(10)
     return ["solve", "--n", "10"], {"n": 10, "k1": res.thresholds.k1,
@@ -236,6 +245,35 @@ class TestSolveCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: horizon must be at most 10**154")
 
+    @pytest.mark.parametrize("n", [sys.maxsize // 8 - 1, 10**153 + 7, 10**154])
+    def test_table_out_numpy_cannot_shape_is_refused_before_the_search(
+            self, capsys, tmp_path, no_search, n):
+        """Past n + 2 = sys.maxsize // 8 floats numpy refuses the continuation's
+        shape whatever the memory, so --table-out refuses the horizon first."""
+        path = tmp_path / "diag.csv"
+        code, out, err = run_cli(["solve", "--n", str(n), "--table-out", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: --table-out horizon must be at most {sys.maxsize // 8 - 2}, "
+                       f"got a {len(str(n))}-digit number\n")
+        assert not path.exists()
+
+    def test_table_out_above_1e154_keeps_the_horizon_message(self, capsys, tmp_path, no_search):
+        path = tmp_path / "diag.csv"
+        code, out, err = run_cli(["solve", "--n", str(10**155), "--table-out", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: horizon must be at most 10**154, got a 156-digit number\n"
+        assert not path.exists()
+
+    def test_table_out_numpy_can_shape_is_searched_then_fails_to_allocate(self, capsys,
+                                                                          tmp_path):
+        # one float short of the shape limit: 8 EiB, beyond any address space
+        path = tmp_path / "diag.csv"
+        argv = ["solve", "--n", str(sys.maxsize // 8 - 2), "--table-out", str(path)]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Unable to allocate")
+        assert not path.exists()
+
     @pytest.fixture(scope="class")
     def table_out_at_1e15(self, tmp_path_factory):
         """One fresh process of solve --n 10**15 --table-out: the continuation,
@@ -343,6 +381,16 @@ class TestSimulateCommand:
         )
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--seed", str(-10**20),
+         "seed must be in 0..18446744073709551615, got -100000000000000000000"),
+        ("--trials", "0", "trials must be in 1..2305843009213693952, got 0")])
+    def test_bad_trials_or_seed_refused_before_the_search(self, capsys, no_search,
+                                                          option, value, message):
+        argv = ["simulate", "--n", str(10**153 + 7), "--trials", "24", option, value]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_trials_above_2_61_exit_2(self, capsys):
         # a domain error before any draw, not a wrapped counter or an endless run
@@ -668,15 +716,20 @@ def _fuzz_argv(rng, path):
 
 
 @pytest.mark.filterwarnings("error")
-def test_contract_fuzz(tmp_path):
+def test_contract_fuzz(tmp_path, monkeypatch):
     """Seeded argvs of every command keep the exit-code contract: 0, 2 or 3; on
-    a failure nothing on stdout and one message on stderr, never a traceback."""
+    a failure nothing on stdout and one message on stderr, never a traceback.
+    An argv refused for its trials, seed or --table-out runs no search."""
     rng = random.Random(20261019)
     path = str(tmp_path / "diag.csv")
-    codes, commands = [], set()
+    codes, commands, searches = [], set(), []
+    monkeypatch.setattr(cli.solver, "solve", lambda n: searches.append(n) or solve(n))
     for _ in range(FUZZ_CALLS):
         argv = _fuzz_argv(rng, path)
+        searches.clear()
         code, out, err = _call(argv)
+        if err.startswith(("error: trials", "error: seed", "error: --table-out")):
+            assert searches == [], argv
         codes.append(code)
         commands.add(argv[0])
         assert code in (0, 2, 3), argv
@@ -740,6 +793,32 @@ class TestAsymptoticCommand:
         assert code == 3
         assert out == ""
         assert err.startswith("numeric failure: root bracketing for a failed")
+
+
+def test_integer_rule_loads_without_numpy():
+    """_validate, which every module imports, is stdlib only: loaded by path
+    with numpy unimportable, its one integer rule still runs."""
+    path = os.path.join(os.path.dirname(cli.__file__), "_validate.py")
+    script = (
+        "import importlib.util, sys\n"
+        "sys.modules['numpy'] = None  # import numpy now raises ModuleNotFoundError\n"
+        f"spec = importlib.util.spec_from_file_location('v', {path!r})\n"
+        "v = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(v)\n"
+        "print(v._check_int(7, 'k', 1, 9), v._check_int(2**70, 'n'))\n"
+        "for x in (True, 2.0, '3', 10):\n"
+        "    try:\n"
+        "        v._check_int(x, 'k', 1, 9)\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.stderr == ""
+    assert proc.stdout == ("7 1180591620717411303424\n"
+                           "k must be an integer, got True\n"
+                           "k must be an integer, got 2.0\n"
+                           "k must be an integer, got '3'\n"
+                           "k must be in 1..9, got 10\n")
 
 
 def test_cli_runs_without_scipy():

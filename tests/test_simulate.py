@@ -326,11 +326,12 @@ class TestMonteCarlo:
     def test_trial_randomness_is_a_pure_function_of_seed_and_index(self, m1):
         """A trial's payoff depends neither on how many trials its block holds
         nor on where that block starts."""
-        two_blocks = np.concatenate([_uniforms(9, 0, BLOCK), _uniforms(9, BLOCK, BLOCK)])
+        two_blocks = np.concatenate([_uniforms(9, 0, BLOCK, _work(BLOCK)),
+                                     _uniforms(9, BLOCK, BLOCK, _work(BLOCK))])
         for n, policy in [(50, (6, 21)), (7, (0, 0)), (1000, (120, 417))]:
             full = _payoffs(two_blocks, n, *policy)
             for lo in (0, BLOCK - m1 // 2, 2 * BLOCK - m1):
-                short = _payoffs(_uniforms(9, lo, m1), n, *policy)
+                short = _payoffs(_uniforms(9, lo, m1, _work(m1)), n, *policy)
                 assert np.array_equal(short, full[lo:lo + m1]), lo
 
 
@@ -370,7 +371,8 @@ class TestSubBlocks:
     def test_sums_match_exact_summation(self, n, policy, trials):
         """mean and std_error agree with math.fsum over every payoff and every
         square of one: the pairwise sums lose at most a few ulp."""
-        p = np.concatenate([_payoffs(_uniforms(3, s, min(BLOCK, trials - s)), n, *policy)
+        work = _work(BLOCK)
+        p = np.concatenate([_payoffs(_uniforms(3, s, min(BLOCK, trials - s), work), n, *policy)
                             for s in range(0, trials, BLOCK)]).tolist()
         s1, s2 = math.fsum(p), math.fsum(x * x for x in p)
         std_error = math.sqrt((s2 - s1 * s1 / trials) / (trials - 1) / trials)
@@ -432,7 +434,7 @@ class TestSplitMix64Uniforms:
         # bit for bit; 2**61 - 9 ends at the largest counter monte_carlo allows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _uniforms(seed, start, 9)
+            got = _uniforms(seed, start, 9, _work(9))
         assert got.shape == (9, 5)
         assert got.tolist() == splitmix64_uniforms(seed, start, 9)
         # drawn into larger work arrays, as monte_carlo draws a short sub-block
@@ -441,7 +443,8 @@ class TestSplitMix64Uniforms:
     @pytest.mark.parametrize("start", [1, BLOCK - 5, BLOCK, BLOCK + 3])
     def test_random_access(self, start):
         """Rows start.. of a draw from 0 are the draw from start, across a block edge."""
-        assert np.array_equal(_uniforms(4, start, 10), _uniforms(4, 0, start + 10)[start:])
+        assert np.array_equal(_uniforms(4, start, 10, _work(10)),
+                              _uniforms(4, 0, start + 10, _work(start + 10))[start:])
 
     def test_extremes_are_inside_the_unit_interval(self):
         """The outputs z = 0 and z = 2**64 - 1 give 2**-53 and 1.0.
@@ -455,8 +458,8 @@ class TestSplitMix64Uniforms:
                 t, j = divmod(counter - 1, 5)
                 if 0 <= t <= 2**61 - 1:
                     break
-            assert _uniforms(seed, t, 1)[0, j] == u, (seed, t, j)
-        U = _uniforms(1, 0, 4 * BLOCK)
+            assert _uniforms(seed, t, 1, _work(1))[0, j] == u, (seed, t, j)
+        U = _uniforms(1, 0, 4 * BLOCK, _work(4 * BLOCK))
         assert U.min() > 0.0 and U.max() <= 1.0
 
     def test_columns_uniform_and_independent(self):
@@ -464,7 +467,7 @@ class TestSplitMix64Uniforms:
         within each column and along the stream, and correlations between the
         columns of one trial, within 5/sqrt(N)."""
         trials = 8 * BLOCK
-        U = _uniforms(2, 0, trials)
+        U = _uniforms(2, 0, trials, _work(trials))
         crit = 131.370  # chi2.isf(1e-6, 63), fixed before any draw
         for j in range(5):
             counts = np.bincount(np.minimum((U[:, j] * 64).astype(np.int64), 63), minlength=64)
@@ -605,7 +608,8 @@ class TestJumpAheadSampler:
     def test_payoff_histogram_matches_enumeration(self, n):
         """Chi-square of n * payoff against all n! rank sequences, every policy."""
         trials = 4 * BLOCK
-        U = np.concatenate([_uniforms(31, s, BLOCK) for s in range(0, trials, BLOCK)])
+        U = np.concatenate([_uniforms(31, s, BLOCK, _work(BLOCK))
+                            for s in range(0, trials, BLOCK)])
         seqs = list(all_rank_sequences(n))
         for k1 in range(n + 1):
             for k2 in range(k1, n + 1):
@@ -628,9 +632,9 @@ class TestJumpAheadSampler:
         """10^6 end times of an item held from time i against duration_pmf (4 sigma)."""
         n, i, trials = 20, 5, 1_000_000
         pmf = duration_pmf(i, rank, n)
-        counts = np.zeros(n + 2, dtype=np.int64)
+        counts, work = np.zeros(n + 2, dtype=np.int64), _work(BLOCK)
         for start in range(0, trials, BLOCK):
-            U = _uniforms(99 + rank, start, min(BLOCK, trials - start))
+            U = _uniforms(99 + rank, start, min(BLOCK, trials - start), work)
             stop = np.full(len(U), float(i))
             end = _end_times(stop, rank == 1, U[:, 3], U[:, 4], n)
             counts += np.bincount(end.astype(np.int64), minlength=n + 2)

@@ -1,5 +1,5 @@
 import math
-from decimal import localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import mpmath
@@ -247,7 +247,8 @@ class TestPsiExact:
 )
 @pytest.mark.parametrize(
     "args", [(1.5, 3), (2.0, 4), (2, 4.0), (2, np.float64(4)), (True, 3), (2, True),
-             (np.True_, 3), (2, np.False_)]
+             (np.True_, 3), (2, np.False_), (np.array(5), 7), (2, Fraction(4)),
+             (Decimal(3), 5)]
 )
 def test_integer_arguments_checked_by_one_rule(evaluate, args):
     with pytest.raises(ValueError, match="must be an integer"):
@@ -258,4 +259,8 @@ def test_numpy_integers_accepted():
     assert harmonic_diff(np.int64(3), np.int64(10)) == harmonic_diff(3, 10)
     assert trigamma_diff(np.int32(2), np.int64(5)) == trigamma_diff(2, 5)
     assert closed_form_value(np.int64(1), np.int64(4), 10) == closed_form_value(1, 4, 10)
+    big = np.uint64(2**64 - 1)
+    assert harmonic_diff(np.int64(3), big) == harmonic_diff(3, 2**64 - 1)
+    assert trigamma_diff(np.uint8(2), big) == trigamma_diff(2, 2**64 - 1)
+    assert closed_form_value(1, 4, big) == closed_form_value(1, 4, 2**64 - 1)
 
