@@ -6,6 +6,7 @@ Python int, so that arithmetic on it cannot wrap around as numpy integers do.
 """
 
 import numbers
+from collections.abc import Mapping, Set
 
 MAX_HORIZON = 10**154  # the closed forms take 1/n**2; n * n overflows a float from 1.34e154
 
@@ -22,16 +23,18 @@ def _check_int(x, name, lo=None, hi=None):
     return x
 
 
-def _check_horizon(n):
-    n = _check_int(n, "horizon", 2)
+def _check_horizon(n, name="horizon", lo=2):
+    n = _check_int(n, name, lo)
     if n > MAX_HORIZON:
-        raise ValueError(f"horizon must be at most 10**154, got a {len(str(n))}-digit number")
+        raise ValueError(f"{name} must be at most 10**154, got a {len(str(n))}-digit number")
     return n
 
 
 def _check_policy(policy, n):
-    """Unpack a threshold pair (k1, k2), which must satisfy 0 <= k1 <= k2 <= n."""
-    try:
+    """Unpack a threshold pair 0 <= k1 <= k2 <= n; text, a mapping or a set is no pair."""
+    try:  # a tuple skips the abstract-class checks, which take about a microsecond
+        if not isinstance(policy, tuple) and isinstance(policy, (str, bytes, Mapping, Set)):
+            raise TypeError
         k1, k2 = policy
     except (TypeError, ValueError):
         raise ValueError(f"policy must be a pair (k1, k2), got {policy!r}") from None

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._validate import _check_horizon, _check_int, _check_policy
 from .asymptotic import asymptotic_solution
-from .special import _harmonic_block, _psi_exact, harmonic_diff, trigamma_diff
+from .special import _harmonic_block, _psi_exact, _trigamma_block, harmonic_diff, trigamma_diff
 
 # The searches start at floor(a n + delta1) and floor(b n + delta2), for the limits a, b of k1/n,
 # k2/n: delta1 is empirical, delta2 solves phi(k, 2) = M(k) to order 1/n (see TestThresholdRules).
@@ -39,14 +39,11 @@ class PolicyThresholds(NamedTuple):
 
 
 class SolveResult:
-    """Output of :func:`solve`: ``thresholds`` and ``value``, and two arrays
-    that take O(n) time and memory, so each is built on first read and kept.
-
-    state_values[r][k] is w(k, r), the optimal value at state (k, r); row 0 is
-    unused and state (1, 2) does not exist (NaN).  continuation[k] is the
-    value w~(k) of arriving at time k with nothing held; continuation[n+1] = 0.
-    Both follow the searched k2, also where the thresholds read (0, 0).
-    """
+    """Output of :func:`solve`: ``thresholds``, ``value`` and ``continuation``, which takes
+    O(n) time and memory, so it is built on first read and kept.  continuation[k] is the
+    value w~(k) of arriving at time k with nothing held (entry 0 unused, continuation[n+1]
+    = 0), under the searched k2 also where the thresholds read (0, 0).  The optimal value
+    at state (k, r) is max(payoff(k, r, n), continuation[k + 1])."""
 
     def __init__(self, thresholds, value, n, k2):
         self.thresholds, self.value = thresholds, value
@@ -55,17 +52,6 @@ class SolveResult:
     @cached_property
     def continuation(self):
         return _continuation(self.thresholds.k1, self._k2, self._n, self.value)
-
-    @cached_property
-    def state_values(self):
-        n, cont = self._n, self.continuation
-        state_values = np.full((3, n + 1), np.nan)
-        for a in range(1, n + 1, ROWS):
-            b = min(a + ROWS, n + 1)
-            for r, phi in enumerate(_payoff_block(a, b, n), 1):
-                np.maximum(phi, cont[a + 1 : b + 1], out=state_values[r, a:b])
-        state_values[2, 1] = np.nan
-        return state_values
 
 
 def _payoff_block(lo: int, hi: int, n: int):
@@ -115,10 +101,14 @@ def duration_pmf(i: int, r: int, n: int) -> dict:
     exactly then; key n+1 carries the mass of surviving through the horizon.
     A relatively best item (r=1) cannot leave at i+1 -- it must first be
     overtaken by a new best and only the next candidate after that ends its
-    candidacy -- so the i+1 entry is exactly 0 for r=1.
+    candidacy -- so the i+1 entry is exactly 0 for r=1.  The dict holds n - i + 1
+    keys at about 100 bytes each, so a horizon near 10**8 needs gigabytes.
     """
     i, n, survive = _pmf_survive(i, r, n)
-    values = np.append(_pmf_block(i, r, i + 1, n + 1), survive)
+    values = np.full(n + 1 - i, survive)  # allocated first: a size it cannot hold fails at once
+    for a in range(i + 1, n + 1, ROWS):
+        b = min(a + ROWS, n + 1)
+        values[a - i - 1 : b - i - 1] = _pmf_block(i, r, a, b)
     return dict(zip(range(i + 1, n + 2), values.tolist()))
 
 
@@ -167,33 +157,22 @@ def mean_operator(k: int, n: int) -> float:
 
 
 def _continuation(k1, k2, n, value):
-    """w~(k) for k = 1..n+1 (entry 0 unused) under the pair (k1, k2), w~(1) = value.
-
-    The recursion w~(k) = [v1 + v2 + (k-2) w~(k+1)]/k is linear in each stop region:
-      all-stop, k > max(k2, 1): passing at k-1 and stopping at the next
-        candidate, so w~(k) = M(k-1) = phi1 - phi2 at k-1 (M(n) = 0);
-      rank-1 only, k1 + 2 <= k <= k2: w~(k)/(k-1) sums phi1/(k(k-1)) on top
-        of w~(k2+1)/k2;
-      none, k <= k1: w~(k) = w~(k+1), so w~ is the value up to k1 + 1.
-    The first two are filled `ROWS` rows at a time straight into the result, the
-    sum from k2 down: each block's cumsum starts from the last partial sum of
-    the block above, and cumsum adds in order, so the bits are those of one sum
-    over the whole region, for any block size.
-    """
+    """w~(k) for k = 1..n+1 (entry 0 unused) under the pair (k1, k2), w~(1) = value.  Each
+    stop region has a closed form, evaluated `ROWS` rows at a time; every entry is a function
+    of its k alone, so any block size gives the same bits:
+      none, k <= k1 + 1: the value;
+      rank-1 only, k1 + 2 <= k <= k2: v~(k-1, k2) from _sums' D, E and Q of (k-1, k2);
+      all-stop, k > max(k2, 1): M(k-1) = phi1 - phi2 at k-1 (M(n) = 0)."""
     cont = np.zeros(n + 2)
     cont[1 : k1 + 2] = value
+    for a in range(k1 + 2, k2 + 1, ROWS):
+        j = np.arange(a - 1, min(a + ROWS, k2 + 1) - 1, dtype=np.float64)
+        Q = 1.0 / (j * j) - 1.0 / (k2 * k2) - _trigamma_block(j, k2)
+        cont[a : a + len(j)] = _closed_form(_harmonic_block(j, k2), harmonic_diff(k2, n), Q,
+                                            j, k2, n)
     for a in range(max(k2, 1) + 1, n + 2, ROWS):
         b = min(a + ROWS, n + 2)
         np.subtract(*_payoff_block(a - 1, b - 1, n), out=cont[a:b])
-    carry = 0.0  # the sum of phi1/(k(k-1)) over k = b..k2, the blocks above
-    for b in range(k2 + 1, k1 + 2, -ROWS):
-        a = max(b - ROWS, k1 + 2)
-        k = np.arange(a, b, dtype=np.float64)
-        tail = _payoff_block(a, b, n)[0] / (k * (k - 1.0))
-        tail[-1] += carry
-        tail = np.cumsum(tail[::-1])[::-1]
-        carry = tail[0]
-        cont[a:b] = (tail + cont[k2 + 1] / k2) * (k - 1.0)
     return cont
 
 

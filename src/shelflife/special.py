@@ -5,15 +5,17 @@ sums of 1/j and 1/j**2.  Each costs O(1): math.fsum adds the terms below
 argument 32 exactly, and the asymptotic series of psi and psi_1 through B_14
 (first omitted term below 1e-24 from 32 on) gives the rest, with its leading
 differences as exact rationals rounded once: psi within 2 ulp, psi_1 within
-1e-16.  `_series`, one Horner expression, also gives `_harmonic_block` the psi
-series over an array of k and `_psi_exact` both series in Decimal.
+1e-16.  `_series`, one Horner expression, also gives `_harmonic_block` and
+`_trigamma_block` the series over an array of k (each log by math.log1p, as in
+harmonic_diff, so the bits follow the libm, not numpy's CPU dispatch) and
+`_psi_exact` both series in Decimal.
 """
 
 import math
 
 import numpy as np
 
-from ._validate import MAX_HORIZON, _check_int
+from ._validate import _check_horizon, _check_int
 
 _SERIES_FROM = 32
 # B_2..B_14 as (numerator, denominator): psi(x) ~ log x - 1/(2x) -
@@ -33,10 +35,8 @@ def harmonic_diff(k: int, n: int) -> float:
 
     Returns exactly 0.0 when k == n.
     """
-    k = _check_int(k, "k")
-    n = _check_int(n, "n")
-    if not 1 <= k <= n <= MAX_HORIZON:
-        raise ValueError(f"harmonic_diff needs 1 <= k <= n <= 10**154, got k={k}, n={n}")
+    n = _check_horizon(n, "n", 1)
+    k = _check_int(k, "k", 1, n)
     if n - k < _SERIES_FROM:
         return math.fsum([1.0 / j for j in range(k, n)])
     lo = max(k, _SERIES_FROM)  # psi(n) - psi(lo) by the series
@@ -49,7 +49,8 @@ def harmonic_diff(k: int, n: int) -> float:
 def _harmonic_block(k, n):
     """psi(n) - psi(k) over a float array of integers 1 <= k <= n, each entry a function
     of its k and n alone: harmonic_diff's series from k = 32 on, harmonic_diff below."""
-    H = np.log1p((n - k) / k) + ((n - k) / (2.0 * n * k) + (
+    log = np.fromiter(map(math.log1p, ((n - k) / k).tolist()), float, len(k))
+    H = log + ((n - k) / (2.0 * n * k) + (
         _series(_PSI_FLOAT, 1.0 / (k * k)) - _series(_PSI_FLOAT, 1.0 / (n * n))))
     head = k < _SERIES_FROM
     H[head] = [harmonic_diff(int(j), n) for j in k[head].tolist()]
@@ -61,10 +62,8 @@ def trigamma_diff(k: int, s: int) -> float:
 
     Equals -sum of 1/j**2 for j in (k, s]; zero when k == s, never positive.
     """
-    k = _check_int(k, "k")
-    s = _check_int(s, "s")
-    if not 1 <= k <= s <= MAX_HORIZON:
-        raise ValueError(f"trigamma_diff needs 1 <= k <= s <= 10**154, got k={k}, s={s}")
+    s = _check_horizon(s, "s", 1)
+    k = _check_int(k, "k", 1, s)
     if s - k < _SERIES_FROM:  # 0.0 - keeps the empty sum at +0.0
         return 0.0 - math.fsum([1.0 / (j * j) for j in range(k + 1, s + 1)])
     hi, lo = s + 1, max(k + 1, _SERIES_FROM)  # psi_1(lo) - psi_1(hi) by the series
@@ -73,6 +72,17 @@ def trigamma_diff(k: int, s: int) -> float:
              -_series(_PSI1_FLOAT, 1.0 / (hi * hi)) / hi)
     head = range(k + 1, lo)  # 1/j^2 below lo, exactly
     return -math.fsum([*terms, *(1.0 / (j * j) for j in head)] if head else terms)
+
+
+def _trigamma_block(k, s):
+    """psi_1(s+1) - psi_1(k+1) over a float array of integers 1 <= k <= s, each entry a
+    function of its k and s alone: trigamma_diff's series from k = 32 on, trigamma_diff below."""
+    lo, hi = k + 1.0, s + 1  # (hi - lo)/(lo hi) + (hi^2 - lo^2)/(2 (lo hi)^2), factored
+    T = 0.0 - ((hi - lo) / (lo * hi) * (1.0 + (1.0 / lo + 1.0 / hi) / 2.0) + (
+        _series(_PSI1_FLOAT, 1.0 / (lo * lo)) / lo - _series(_PSI1_FLOAT, 1.0 / (hi * hi)) / hi))
+    head = k < _SERIES_FROM
+    T[head] = [trigamma_diff(int(j), s) for j in k[head].tolist()]
+    return T
 
 
 def _psi_exact(x):

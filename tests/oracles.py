@@ -10,7 +10,7 @@ sequences, Monte Carlo trials as full rank sequences scanned one column at a
 time (drawn from numpy's Philox, a generator independent of the library's),
 the library's SplitMix64 uniforms one Python integer at a time, a Monte
 Carlo estimate with each reduction block drawn and rolled out whole, the
-continuation and state values over whole-horizon arrays, and CLI output as
+continuation over whole-horizon arrays, and CLI output as
 one csv.writer row per line or one json.dump.
 ``realized_outcome`` traces one explicit rank sequence position by
 position.  The n!-sequence sum is built on it, so it checks
@@ -32,11 +32,13 @@ from shelflife._validate import _check_horizon
 from shelflife.simulate import BLOCK, McEstimate, _payoffs, _uniforms, _work
 from shelflife.solver import (
     PolicyThresholds,
+    _closed_form,
     _payoff_block,
     duration_pmf,
     payoff,
     solve,
 )
+from shelflife.special import _harmonic_block, _trigamma_block, harmonic_diff
 
 
 def payoff_tables(n):
@@ -47,26 +49,18 @@ def payoff_tables(n):
 
 
 def continuation_whole(k1, k2, n, value):
-    """Oracle for ``solver._continuation``: the same closed forms over whole-horizon
-    arrays, the rank-1 region as one cumsum from k2 down."""
+    """Oracle for ``solver._continuation``: the same closed forms, each stop region
+    as one whole-horizon block."""
     cont = np.zeros(n + 2)
     cont[1 : k1 + 2] = value
+    if k2 >= k1 + 2:
+        j = np.arange(k1 + 1, k2, dtype=np.float64)
+        Q = 1.0 / (j * j) - 1.0 / (k2 * k2) - _trigamma_block(j, k2)
+        cont[k1 + 2 : k2 + 1] = _closed_form(_harmonic_block(j, k2), harmonic_diff(k2, n), Q,
+                                             j, k2, n)
     lo = max(k2, 1) + 1
     np.subtract(*_payoff_block(lo - 1, n + 1, n), out=cont[lo:])
-    if k2 >= k1 + 2:
-        k = np.arange(k1 + 2, k2 + 1, dtype=np.float64)
-        tail = _payoff_block(k1 + 2, k2 + 1, n)[0] / (k * (k - 1.0))
-        cont[k1 + 2 : k2 + 1] = (np.cumsum(tail[::-1])[::-1] + cont[k2 + 1] / k2) * (k - 1.0)
     return cont
-
-
-def state_values_whole(cont, n):
-    """Oracle for ``SolveResult.state_values`` from its continuation, over whole-horizon arrays."""
-    phi1, phi2 = _payoff_block(1, n + 1, n)
-    state_values = np.full((3, n + 1), np.nan)
-    state_values[1, 1:] = np.maximum(phi1, cont[2:])
-    state_values[2, 2:] = np.maximum(phi2[1:], cont[3:])
-    return state_values
 
 
 def _payoff_lists(n):
@@ -118,8 +112,6 @@ def solve_loop(n: int) -> SimpleNamespace:
     """
     _check_horizon(n)
     p1, p2 = _payoff_lists(n)
-    w1 = [0.0] * (n + 1)
-    w2 = [0.0] * (n + 1)
     cont = [0.0] * (n + 2)
     for k in range(n, 1, -1):
         c = cont[k + 1]
@@ -129,11 +121,8 @@ def solve_loop(n: int) -> SimpleNamespace:
         stop2 = f2 >= c
         v1 = f1 if stop1 else c
         v2 = f2 if stop2 else c
-        w1[k] = v1
-        w2[k] = v2
         cont[k] = (v1 + v2 + (k - 2) * c) / k if (stop1 or stop2) else c
-    w1[1] = p1[1] if p1[1] >= cont[2] else cont[2]
-    cont[1] = w1[1]
+    cont[1] = p1[1] if p1[1] >= cont[2] else cont[2]
 
     k1 = 0
     for k in range(n, 0, -1):
@@ -148,13 +137,9 @@ def solve_loop(n: int) -> SimpleNamespace:
     if k1 == 0:
         k2 = 0
 
-    state_values = np.full((3, n + 1), np.nan)
-    state_values[1, 1:] = w1[1:]
-    state_values[2, 2:] = w2[2:]
     return SimpleNamespace(
         thresholds=PolicyThresholds(k1, k2),
         value=cont[1],
-        state_values=state_values,
         continuation=np.array(cont),
     )
 

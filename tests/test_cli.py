@@ -18,7 +18,7 @@ from oracles import write_pmf_rows, write_table_out_rows
 from shelflife import asymptotic, cli, solver
 from shelflife.cli import main
 from shelflife.simulate import monte_carlo
-from shelflife.solver import policy_value, solve
+from shelflife.solver import mean_operator, payoff, policy_value, solve
 
 REFERENCE_TABLE = """\
 N,k1,k2,v_N
@@ -37,6 +37,16 @@ N,k1,k2,v_N
 1000,120,417,0.404944
 inf,0.120381,0.417188,0.403827
 """
+
+
+# sha256 of `solve --n N --table-out`, recorded with every kernel cell through math.log1p
+# and the continuation from its closed form in each cell
+TABLE_OUT_SHA256 = {
+    10: "e2d0f9d59cb8b79e0053cf2d5a02a7b8f281937fd724852cd98421721eab59f3",
+    1000: "bb477791d9032f199276b5ab2e47b9dada8c4d89a3206c6b2568e20ea5db96f3",
+    20000: "a4229fc2d5ca2525cbe49fdcc86a44a6dda0e9a4797f6d308087fcc4b6d95c0f",
+    123457: "4141f3d83dc7b1ce46f55e731639b10bbf40f477407688aa347d2a044d1e8c95",
+}
 
 
 needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -180,17 +190,40 @@ class TestSolveCommand:
         blocks = "".join(cli._table_out_blocks(solve(10), 10))
         assert blocks == old.read_text()
 
-    @pytest.mark.parametrize("n,sha256", [
-        (10, "a72f0a83f11b4d7960ecf3ad0d6d78efb4db9cbb01c98d49c6113700e0617962"),
-        (1000, "62107b2aa7c418892db95c4ea70be4862a15ec4e2fd51cb957e2f34038572b54"),
-        (20000, "27e3af7e8a811962f74cd20537553aeeac9a08cc21d23d75c821d2d4eddd8f5a"),
-        (123457, "a32ddea8308cd9c2dacdfe5ee41c22d62f63d80fc5db030c77668cd057c1fa80"),
-    ])
+    @pytest.mark.parametrize("n,sha256", TABLE_OUT_SHA256.items(), ids=map(str, TABLE_OUT_SHA256))
     def test_table_out_recorded_bytes(self, capsys, tmp_path, n, sha256):
-        # digests recorded from the whole-array continuation and 4,096-row writer blocks
         path = tmp_path / "diag.csv"
         assert run_cli(["solve", "--n", str(n), "--table-out", str(path)], capsys)[0] == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+    def test_kernel_bits_do_not_follow_numpy_cpu_dispatch(self):
+        """The payoff kernel takes math.log1p in every cell, so its bits follow the
+        platform libm and not the SIMD loops numpy picks for the CPU: a process with
+        numpy's AVX-512 loops turned off writes the recorded --table-out bytes and
+        the payoffs of this process.  On a host without AVX-512 both runs take the
+        same path, so there the test shows nothing.  The group names are numpy
+        2.x's; numpy 1.x names the groups differently and warns of a name it does
+        not know, which the child ignores."""
+        ks = (32, 33, 1000, 120381, 417188, 999999)
+        script = (
+            "import hashlib, os, sys, tempfile\n"
+            "from shelflife.cli import main\n"
+            "from shelflife.solver import mean_operator, payoff\n"
+            "path = os.path.join(tempfile.mkdtemp(), 'diag.csv')\n"
+            f"for n in {tuple(TABLE_OUT_SHA256)}:\n"
+            "    main(['solve', '--n', str(n), '--table-out', path])\n"
+            "    print(n, hashlib.sha256(open(path, 'rb').read()).hexdigest())\n"
+            "os.remove(path)\n"
+            f"for k in {ks}:\n"
+            "    print(k, payoff(k, 1, 10**6).hex(), mean_operator(k, 10**6).hex())\n"
+        )
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}
+        proc = subprocess.run([sys.executable, "-W", "ignore::ImportWarning", "-c", script],
+                              capture_output=True, text=True, env=env, check=True)
+        lines = proc.stdout.splitlines()
+        assert [line for line in lines if not line.startswith("{")] == [
+            *(f"{n} {sha256}" for n, sha256 in TABLE_OUT_SHA256.items()),
+            *(f"{k} {payoff(k, 1, 10**6).hex()} {mean_operator(k, 10**6).hex()}" for k in ks)]
 
     def test_table_out_peak_is_its_continuation(self, tmp_path):
         # beyond the continuation, one block's worth at both horizons (measured

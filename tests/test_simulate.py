@@ -493,9 +493,11 @@ class TestSplitMix64Uniforms:
 )
 @pytest.mark.parametrize(
     "policy",
-    [(1.5, 3), (1, 3.0), (True, 3), ("1", 3), (3, 2), (-1, 3), (1, 11), 5, (1, 2, 3)],
+    [(1.5, 3), (1, 3.0), (True, 3), ("1", 3), (3, 2), (-1, 3), (1, 11), 5, (1, 2, 3),
+     "12", b"\x01\x02", {1: 0, 2: 0}, {1, 2}, frozenset({1, 2})],
 )
 def test_policy_checked_by_one_rule(evaluate, policy):
+    # text, a mapping and a set each unpack into two items, but are no pair
     with pytest.raises(ValueError):
         evaluate(policy)
 

@@ -13,6 +13,7 @@ from shelflife.solver import closed_form_value
 from shelflife.special import (
     _harmonic_block,
     _psi_exact,
+    _trigamma_block,
     harmonic_diff,
     trigamma_diff,
 )
@@ -145,6 +146,16 @@ class TestSeriesAgainstMpmath:
         with mpmath.workdps(50):
             expected = mpmath.polygamma(1, s + 1) - mpmath.polygamma(1, k + 1)
             assert abs(trigamma_diff(k, s) - expected) <= 1e-16
+
+    @pytest.mark.parametrize("k, s", SWITCH_PAIRS + HUGE_PAIRS)
+    def test_trigamma_block_within_1e_16(self, k, s):
+        """The elementwise series, also where trigamma_diff sums exactly
+        (s - k < 32); the empty range at k = s is +0.0."""
+        with mpmath.workdps(50):
+            expected = mpmath.polygamma(1, s + 1) - mpmath.polygamma(1, k + 1)
+            got, empty = _trigamma_block(np.array([k, s], dtype=np.float64), s).tolist()
+            assert abs(got - expected) <= 1e-16
+        assert math.copysign(1.0, empty) == 1.0 and empty == 0.0
 
     def test_empty_ranges_are_positive_zero(self):
         for k in (1, 31, 32, 10**15):
