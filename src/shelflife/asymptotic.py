@@ -10,7 +10,7 @@ threshold exactly as the finite-n continuation value is.
 import math
 from typing import NamedTuple
 
-from ._validate import _check_int
+from ._validate import _check_int, _check_real
 
 
 class AsymptoticSolution(NamedTuple):
@@ -22,8 +22,7 @@ class AsymptoticSolution(NamedTuple):
 def phi_limit(x: float, r: int) -> float:
     """Limit payoff at threshold fraction x: x^2 - 2x log x - x for rank 1,
     x(1 - x) for rank 2.  Both vanish at x = 1."""
-    if not 0.0 < x <= 1.0:
-        raise ValueError(f"x must be in (0, 1], got {x}")
+    x = _check_real(x, "x", 0, 1)
     if _check_int(r, "rank", 1, 2) == 1:
         return x * x - 2.0 * x * math.log(x) - x
     return x * (1.0 - x)
@@ -31,8 +30,7 @@ def phi_limit(x: float, r: int) -> float:
 
 def mean_operator_limit(x: float) -> float:
     """Limit of the stop-at-next-candidate payoff: 2(x^2 - x - x log x)."""
-    if not 0.0 < x <= 1.0:
-        raise ValueError(f"x must be in (0, 1], got {x}")
+    x = _check_real(x, "x", 0, 1)
     return 2.0 * (x * x - x - x * math.log(x))
 
 
@@ -43,7 +41,7 @@ def _root(f, df, lo, hi, name):
     f_lo, f_hi = f(lo), f(hi)
     if not f_lo * f_hi < 0.0:
         raise ArithmeticError(f"root bracketing for {name} failed: "
-                              f"f({lo}) = {f_lo}, f({hi}) = {f_hi}")
+                              f"f({lo:.6g}) = {f_lo:.6g}, f({hi:.6g}) = {f_hi:.6g}")
     x = 0.5 * (lo + hi)
     for _ in range(100):
         fx = f(x)
@@ -80,10 +78,8 @@ def limit_value_function(x: float, b: float) -> float:
     """v~(x, b) = integral_x^b (x/t^2) phi(t, 1) dt + (x/b) Tphi_limit(b),
 
     evaluated through the exact antiderivative x*(t - log^2 t - log t)."""
-    if not 0.0 < b <= 1.0:
-        raise ValueError(f"b must be in (0, 1], got {b}")
-    if not 0.0 < x <= b:
-        raise ValueError(f"x must be in (0, b], got x={x}, b={b}")
+    b = _check_real(b, "b", 0, 1)
+    x = _check_real(x, "x", 0, b)
     return x * (_antiderivative(b) - _antiderivative(x)) + (x / b) * mean_operator_limit(b)
 
 
@@ -94,6 +90,7 @@ def solve_a(b: float) -> float:
     with c = A(b) + M(b)/b + 1, where A(t) = t - log^2 t - log t and M is
     :func:`mean_operator_limit`, solved by :func:`_root` on [1e-4, b - 1e-4].
     """
+    b = _check_real(b, "b")
     lo, hi = 1e-4, b - 1e-4
     if not (lo < hi and b <= 1.0):
         raise ArithmeticError(f"root bracketing for a failed: empty bracket for b={b}")

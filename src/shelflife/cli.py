@@ -94,10 +94,8 @@ def cmd_pmf(args):
 
 
 def cmd_solve(args):
-    if args.table_out is not None and _check_horizon(args.n) + 2 > sys.maxsize // 8:
-        # numpy cannot shape the continuation however much memory there is
-        raise ValueError(f"--table-out horizon must be at most {sys.maxsize // 8 - 2}, "
-                         f"got a {len(str(args.n))}-digit number")
+    if args.table_out is not None:  # numpy cannot shape a longer continuation, whatever the memory
+        _check_horizon(args.n, "--table-out horizon", hi=sys.maxsize // 8 - 2)
     res = solver.solve(args.n)
     record = {
         "n": args.n,

@@ -15,6 +15,7 @@ r in {1, 2}.  A threshold pair (k1, k2) stops at (k, 1) iff k > k1 and at
 """
 
 import math
+import sys
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -60,16 +61,15 @@ def _payoff_block(lo: int, hi: int, n: int):
     function of k and n alone, so a block of one row gives every cell of a
     longer block bit for bit."""
     k = np.arange(lo, hi, dtype=np.float64)
-    phi1 = (k / n**2) * (1.0 + k - n + 2.0 * n * _harmonic_block(k, n))
+    phi1 = (k / n**2) * (1.0 + (k - n) + 2.0 * n * _harmonic_block(k, n))
     phi2 = k * (n - k + 1.0) / n**2
     return phi1, phi2
 
 
 def _pmf_survive(i: int, r: int, n: int):
     """Check (i, r, n) as duration_pmf does; return i, n as ints and the mass of key n + 1."""
-    n = _check_horizon(n)
-    if n > 10**102:  # beyond, the denominator (k-2)(k-1)k at k = n overflows a float
-        raise ValueError(f"pmf horizon must be at most 10**102, got a {len(str(n))}-digit number")
+    # beyond 10**102, the denominator (k-2)(k-1)k at k = n overflows a float
+    n = _check_horizon(n, "pmf horizon", hi=10**102)
     i = _check_int(i, "i", 1, n)
     r = _check_int(r, "rank", 1, 2)
     if r > i:
@@ -105,7 +105,8 @@ def duration_pmf(i: int, r: int, n: int) -> dict:
     keys at about 100 bytes each, so a horizon near 10**8 needs gigabytes.
     """
     i, n, survive = _pmf_survive(i, r, n)
-    values = np.full(n + 1 - i, survive)  # allocated first: a size it cannot hold fails at once
+    # allocated first: a size it cannot hold fails at once, one numpy cannot shape is refused
+    values = np.full(_check_int(n + 1 - i, "pmf keys n + 1 - i", 1, sys.maxsize // 8), survive)
     for a in range(i + 1, n + 1, ROWS):
         b = min(a + ROWS, n + 1)
         values[a - i - 1 : b - i - 1] = _pmf_block(i, r, a, b)
@@ -308,4 +309,7 @@ def _sums(k1, k2, n, E=None):
 
 def _closed_form(D, E, Q, k1, k2, n):  # see closed_form_value
     head = (k1 / n**2) * ((2.0 - n) * D + (k2 - k1) + n * (D * D - Q) + 2.0 * n * D * E)
-    return head + 2.0 * k1 * k2 / n**2 - 2.0 * k1 / n + (2.0 * k1 / n) * E
+    tail = 2.0 * k1 * k2 / n**2
+    if k2 > 9e153 and tail == math.inf:  # 2 k1 k2 overflowed a float: take it in two steps
+        tail = 2.0 * (k1 / n) * (k2 / n)
+    return head + tail - 2.0 * k1 / n + (2.0 * k1 / n) * E

@@ -50,8 +50,9 @@ def _harmonic_block(k, n):
     """psi(n) - psi(k) over a float array of integers 1 <= k <= n, each entry a function
     of its k and n alone: harmonic_diff's series from k = 32 on, harmonic_diff below."""
     log = np.fromiter(map(math.log1p, ((n - k) / k).tolist()), float, len(k))
-    H = log + ((n - k) / (2.0 * n * k) + (
-        _series(_PSI_FLOAT, 1.0 / (k * k)) - _series(_PSI_FLOAT, 1.0 / (n * n))))
+    with np.errstate(over="ignore"):  # 2nk overflows from 9e307: the lost term is < 1e-154 H
+        H = log + ((n - k) / (2.0 * n * k) + (
+            _series(_PSI_FLOAT, 1.0 / (k * k)) - _series(_PSI_FLOAT, 1.0 / (n * n))))
     head = k < _SERIES_FROM
     H[head] = [harmonic_diff(int(j), n) for j in k[head].tolist()]
     return H

@@ -286,15 +286,18 @@ class TestSolveCommand:
         path = tmp_path / "diag.csv"
         code, out, err = run_cli(["solve", "--n", str(n), "--table-out", str(path)], capsys)
         assert (code, out) == (2, "")
+        word = {10**153 + 7: "a 154-digit number", 10**154: "10**154"}.get(n, str(n))
         assert err == (f"error: --table-out horizon must be at most {sys.maxsize // 8 - 2}, "
-                       f"got a {len(str(n))}-digit number\n")
+                       f"got {word}\n")
         assert not path.exists()
 
     def test_table_out_above_1e154_keeps_the_horizon_message(self, capsys, tmp_path, no_search):
+        """Above 10**154 the --table-out cap is the one the horizon breaks first."""
         path = tmp_path / "diag.csv"
         code, out, err = run_cli(["solve", "--n", str(10**155), "--table-out", str(path)], capsys)
         assert (code, out) == (2, "")
-        assert err == "error: horizon must be at most 10**154, got a 156-digit number\n"
+        assert err == (f"error: --table-out horizon must be at most {sys.maxsize // 8 - 2}, "
+                       "got 10**155\n")
         assert not path.exists()
 
     def test_table_out_numpy_can_shape_is_searched_then_fails_to_allocate(self, capsys,
@@ -417,7 +420,7 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("option, value, message", [
         ("--seed", str(-10**20),
-         "seed must be in 0..18446744073709551615, got -100000000000000000000"),
+         "seed must be in 0..18446744073709551615, got -10**20"),
         ("--trials", "0", "trials must be in 1..2305843009213693952, got 0")])
     def test_bad_trials_or_seed_refused_before_the_search(self, capsys, no_search,
                                                           option, value, message):
@@ -459,6 +462,18 @@ def test_large_horizons_exit_0_without_warnings(capsys, argv):
     code, out, err = run_cli(argv, capsys)
     assert (code, err) == (0, "")
     assert json.loads(out)["n"] == int(argv[2])
+
+
+def test_kernel_at_the_cap_exits_0_under_w_error_in_a_fresh_process():
+    """k1 = k2 = 10**154 - 1 reads the payoff kernel where 2nk overflows a float: the
+    overflow is silenced, not warned, and past 2^53 the kernel keeps its 1, so the
+    exact value is not negative (it read -1e-154 when the 1 was lost)."""
+    k = str(10**154 - 1)
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "shelflife", "simulate",
+                           "--n", str(10**154), "--k1", k, "--k2", k],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["exact"] == 0.0
 
 
 class TestPmfCommand:

@@ -464,18 +464,22 @@ class TestBlockwiseArrays:
                 + random.Random(20261019).sample(range(300, 2 * 10**5), 16))
 
     @staticmethod
-    def pairs(n):
-        """(k1, k2, value): the solved k1 with the searched k2, and pairs that leave
-        one stop region empty or give it one row."""
+    def pairs(n, every=True):
+        """(k1, k2, value): the solved k1 with the searched k2, and unless every is
+        false, pairs that leave one stop region empty or give it one row."""
         res = solve(n)
-        pairs = {(res.thresholds.k1, res._k2), (0, 0), (0, 1), (0, 2), (0, n // 3), (0, n),
-                 (n // 4, n // 3), (n - 2, n), (n - 1, n)}
+        pairs = {(res.thresholds.k1, res._k2)}
+        if every:
+            pairs |= {(0, 0), (0, 1), (0, 2), (0, n // 3), (0, n), (n // 4, n // 3),
+                      (n - 2, n), (n - 1, n)}
         return [(k1, k2, policy_value((k1, k2), n)) for k1, k2 in sorted(pairs)
                 if 0 <= k1 < k2 or k1 == k2 == 0]
 
     def test_continuation_bits(self):
+        """At 10**6 only the solved pair: 10**5 already spans 98 blocks, and
+        TestValueAccuracy checks the continuation at 10**6 against mpmath."""
         for n in self.HORIZONS:
-            for k1, k2, value in self.pairs(n):
+            for k1, k2, value in self.pairs(n, every=n < 10**6):
                 args = k1, k2, n, value
                 assert _continuation(*args).tobytes() == continuation_whole(*args).tobytes(), args
 
@@ -707,6 +711,17 @@ class TestPayoffBlock:
             assert payoff(k, 1, n) == phi1[k - 1], k
             assert payoff(k, 2, n) == phi2[k - 1], k
             assert mean_operator(k, n) == phi1[k - 1] - phi2[k - 1], k
+
+    def test_no_negative_cells_beside_the_horizon(self):
+        """k = n - d beside n = 10^4..10^154: phi(k, 1) > 0 and M(k) >= -1 ulp of
+        phi(k, 2), the worst measured (n = 10^16, d = 3; past 2^53 k itself is rounded).
+        When the kernel added 1 + k before subtracting n, the 1 was lost past 2^53 and
+        832 of these probes gave a negative phi(k, 1) or M(k)."""
+        for e in range(4, 155):
+            n = 10**e
+            for k in [n - d for d in (1, 2, 3, 10, 10**3, 10**6) if d < n]:
+                assert payoff(k, 1, n) > 0, (e, n - k)
+                assert mean_operator(k, n) >= -np.spacing(payoff(k, 2, n)), (e, n - k)
 
     def test_against_40_digits(self):
         n = 10**6
@@ -1005,6 +1020,16 @@ class TestClosedFormValue:
             assert closed_form_value(k1, k2, n) == pytest.approx(
                 closed_form_oracle(k1, k2, n), abs=1e-10
             ), (k1, k2, n)
+
+    def test_finite_where_2_k1_k2_overflows_a_float(self):
+        """Past k1 k2 = 9e307, near the 10**154 cap, 2 k1 k2 is taken in two steps: the
+        value is finite (it read inf) and within 1e-13 of the closed form in mpmath
+        (measured: 1.0e-14 and 7.8e-14)."""
+        n = 10**154
+        with mpmath.workdps(220):
+            for k1, k2 in [(95 * n // 100, n), (949 * n // 1000, 951 * n // 1000)]:
+                got, want = closed_form_value(k1, k2, n), mp_closed_form(k1, k2, n)
+                assert abs(got - want) <= 1e-13 * want, (k1, k2)
 
     def test_optimal_thresholds_give_the_value(self):
         for n, v in [(10, 0.527526), (200, 0.409431)]:
