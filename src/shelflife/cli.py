@@ -26,7 +26,7 @@ import json
 import sys
 
 from . import asymptotic, simulate, solver
-from ._validate import _check_horizon
+from ._validate import _check_horizon, _word
 
 TABLE_NS = (10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 200, 500, 1000)
 
@@ -95,7 +95,7 @@ def cmd_pmf(args):
 
 def cmd_solve(args):
     if args.table_out is not None:  # numpy cannot shape a longer continuation, whatever the memory
-        _check_horizon(args.n, "--table-out horizon", hi=sys.maxsize // 8 - 2)
+        _check_horizon(args.n, "--table-out horizon", hi=solver.MAX_FLOATS - 2)
     res = solver.solve(args.n)
     record = {
         "n": args.n,
@@ -115,7 +115,7 @@ def cmd_table(args):
         try:
             ns = [int(part) for part in args.ns.split(",") if part.strip()]
         except ValueError:
-            raise ValueError(f"--ns must be a comma-separated integer list, got {args.ns!r}")
+            raise ValueError(f"--ns must be a comma-separated integer list, got {_word(args.ns)}")
         if not ns:
             raise ValueError("--ns list is empty")
     else:

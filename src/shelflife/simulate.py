@@ -50,8 +50,8 @@ def _next_best(t, u):
 
 
 def _next_candidate(t, u, cap):
-    """First rank-1-or-2 arrival after time t >= 1 from u in (0, 1], or a
-    value >= cap when that lies beyond cap.
+    """First rank-1-or-2 arrival after time t >= 1 from u in (0, 1], or
+    cap when that lies beyond cap.
 
     It is the smallest integer s with s(s-1) > q = t(t-1)/u, one more than
     the floor of the root x = 1/2 + sqrt(1/4 + q).  At q = m(m-1) the rounded
@@ -74,35 +74,31 @@ def _next_candidate(t, u, cap):
 
 
 def _end_times(stop, best, u3, u4, n):
-    """End of the candidacy of an item held from time `stop`, capped at n+1.
+    """End of the candidacy of an item held from time `stop`, capped at n + 1.
 
     A second-best item leaves at the next candidate.  A best item is first
-    overtaken by the next rank-1 arrival r and leaves at the candidate after r.
+    overtaken by the next rank-1 arrival r and leaves at the candidate after r,
+    which the cap bounds also when r lies beyond it.  A stop at n + 1 ends there.
     """
-    cap = n + 2.0
-    start = np.where(best, np.minimum(_next_best(stop, u3), cap), stop)
-    return np.minimum(_next_candidate(start, np.where(best, u4, u3), cap), n + 1.0)
+    start = np.where(best, _next_best(stop, u3), stop)
+    return _next_candidate(start, np.where(best, u4, u3), n + 1.0)
 
 
 def _payoffs(U, n, k1, k2):
     """Normalized durations of the trials whose uniforms are the rows of U.
 
     U has shape (m, 5) with entries in (0, 1].  Column 0 places the first
-    rank-1 arrival after k1; if it falls after k2 the policy stops at the
-    first candidate after k2 (column 1), whose rank is 1 iff column 2 is at
-    most 1/2.  Columns 3 and 4 drive :func:`_end_times`.  A stop after n
+    rank-1 arrival after k1 (item 1 when k1 = 0); if it falls after max(k2, 1)
+    the policy stops at the first candidate after k2 (column 1), whose rank is
+    1 iff column 2 is at most 1/2.  Columns 3 and 4 drive :func:`_end_times`.
+    n + 1 is the one cap: no stop is a stop at n + 1, which ends there and
     earns 0.
     """
-    if k1 == 0:
-        stop = np.ones(len(U))
-        best = True
-    else:
-        s1 = _next_best(k1, U[:, 0])
-        early = s1 <= k2
-        stop = np.where(early, s1, _next_candidate(float(k2), U[:, 1], n + 2.0))
-        best = early | (U[:, 2] <= 0.5)
-    end = _end_times(stop, best, U[:, 3], U[:, 4], n)
-    return np.where(stop <= n, (end - stop) / n, 0.0)
+    s1 = _next_best(k1, U[:, 0])
+    early = s1 <= max(k2, 1)
+    stop = np.where(early, s1, _next_candidate(float(k2), U[:, 1], n + 1.0))
+    best = early | (U[:, 2] <= 0.5)
+    return (_end_times(stop, best, U[:, 3], U[:, 4], n) - stop) / n
 
 
 def _mix64(z, t):
@@ -182,13 +178,8 @@ def monte_carlo(n: int, policy, trials: int, seed: int) -> McEstimate:
         squares.append(float(np.sum(np.square(q, out=q))))  # np.dot rounds by BLAS thread count
     s1 = math.fsum(sums)
     s2 = math.fsum(squares)
-    mean = s1 / trials
-    if trials > 1:
-        var = max(0.0, (s2 - s1 * s1 / trials) / (trials - 1))
-        std_error = math.sqrt(var / trials)
-    else:
-        std_error = 0.0
-    return McEstimate(mean=mean, std_error=std_error, trials=trials, seed=seed)
+    var = max(0.0, (s2 - s1 * s1 / trials) / max(trials - 1, 1))  # one trial: s2 == s1 * s1
+    return McEstimate(s1 / trials, math.sqrt(var / trials), trials, seed)
 
 
 def _rank_classes(n):

@@ -30,6 +30,7 @@ from .special import _harmonic_block, _psi_exact, _trigamma_block, harmonic_diff
 _A_LIMIT, _B_LIMIT, _ = asymptotic_solution()
 _DELTA1, _DELTA2 = 0.0783, (1 - 2 * _B_LIMIT) / (5 - 6 * _B_LIMIT + 2 * math.log(_B_LIMIT))
 ROWS = 1 << 10  # rows per block of every O(n) array and of the per-k CLI output
+MAX_FLOATS = sys.maxsize // 8  # the longest float64 array numpy can shape, whatever the memory
 
 
 class PolicyThresholds(NamedTuple):
@@ -106,7 +107,7 @@ def duration_pmf(i: int, r: int, n: int) -> dict:
     """
     i, n, survive = _pmf_survive(i, r, n)
     # allocated first: a size it cannot hold fails at once, one numpy cannot shape is refused
-    values = np.full(_check_int(n + 1 - i, "pmf keys n + 1 - i", 1, sys.maxsize // 8), survive)
+    values = np.full(_check_int(n + 1 - i, "pmf keys n + 1 - i", 1, MAX_FLOATS), survive)
     for a in range(i + 1, n + 1, ROWS):
         b = min(a + ROWS, n + 1)
         values[a - i - 1 : b - i - 1] = _pmf_block(i, r, a, b)
@@ -164,7 +165,7 @@ def _continuation(k1, k2, n, value):
       none, k <= k1 + 1: the value;
       rank-1 only, k1 + 2 <= k <= k2: v~(k-1, k2) from _sums' D, E and Q of (k-1, k2);
       all-stop, k > max(k2, 1): M(k-1) = phi1 - phi2 at k-1 (M(n) = 0)."""
-    cont = np.zeros(n + 2)
+    cont = np.zeros(_check_horizon(n, "continuation horizon", hi=MAX_FLOATS - 2) + 2)
     cont[1 : k1 + 2] = value
     for a in range(k1 + 2, k2 + 1, ROWS):
         j = np.arange(a - 1, min(a + ROWS, k2 + 1) - 1, dtype=np.float64)

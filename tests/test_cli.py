@@ -359,6 +359,16 @@ class TestTableCommand:
         assert code == 2
         assert "--ns" in err
 
+    @pytest.mark.parametrize("ns", [",".join(map(str, range(31))) + ",x",
+                                    ",".join(map(str, range(60))) + ",x"], ids=["0..30", "0..59"])
+    def test_bad_ns_message_is_cut(self, capsys, ns):
+        """The text is worded by the argument rule, its repr cut to 40 characters,
+        so the line on stderr does not grow with the list."""
+        code, out, err = run_cli(["table", "--ns", ns], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: --ns must be a comma-separated integer list, got {ns!r:.40}\n"
+        assert len(err) <= 100
+
     @pytest.mark.parametrize("ns", ["", ",", " "])
     def test_empty_ns_exits_2(self, capsys, ns):
         # an empty --ns is an empty list, not the default one

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import math
 import os
@@ -264,11 +265,26 @@ class TestMonteCarlo:
         assert abs(est.mean - exact) < 4 * est.std_error
 
     def test_no_overflow_warning_near_the_horizon_cap(self):
-        # t(t - 1)/u overflows there; the overflow gives the right draw, n + 2
+        # t(t - 1)/u overflows there; the overflow gives the right draw, the cap n + 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             est = monte_carlo(10**154, (10**153, 5 * 10**153), 10_000, 1)
         assert 0.0 < est.mean < 1.0
+
+    def test_estimate_bits_pinned(self):
+        """Every policy class at one and two trials and around the sub-block
+        and block edges, from a horizon of 2 to the cap, at the two extreme
+        seeds: a sha256 over the hex of each mean and std_error, recorded
+        before the rollout was put on one horizon cap.  Any change to one bit
+        of one estimate moves it."""
+        h = hashlib.sha256()
+        for n in [2, 7, 100, 10**15, 10**154]:
+            for policy in sorted({(0, 0), (0, n), (1, 1), (n // 2, n // 2), (n - 1, n), (n, n)}):
+                for trials in [1, 2, CHUNK - 1, CHUNK + 1, BLOCK + 1]:
+                    for seed in [0, 2**64 - 1]:
+                        est = monte_carlo(n, policy, trials, seed)
+                        h.update(f"{est.mean.hex()} {est.std_error.hex()}\n".encode())
+        assert h.hexdigest() == "8577a35227158bcbfa6307a17049ecc682d41ac22b8d4779e18af90fb7d90bde"
 
     def test_single_trial(self):
         est = monte_carlo(3, (0, 0), 1, 7)

@@ -338,6 +338,18 @@ class TestSolve:
         assert cont[31] == 0.0
         assert np.all(np.diff(cont[1:31]) <= 0.0)
 
+    @pytest.mark.parametrize("n", [10**20, 2**61], ids=["1e20", "2^61"])
+    def test_continuation_numpy_cannot_shape_is_refused(self, n):
+        """Past n + 2 = sys.maxsize // 8 floats numpy refuses the shape whatever the
+        memory; the continuation refuses the horizon first, by the argument rule."""
+        res = solve(n)
+        with pytest.raises(ValueError) as exc:
+            res.continuation
+        word = {10**20: "10**20"}.get(n, str(n))
+        assert str(exc.value) == (f"continuation horizon must be at most {sys.maxsize // 8 - 2}, "
+                                  f"got {word}")
+        assert len(str(exc.value)) <= 100
+
     def test_flat_below_first_threshold(self):
         res = solve(100)
         k1 = res.thresholds.k1
@@ -460,8 +472,8 @@ class TestBlockwiseArrays:
     result: the same bits as the whole-array oracle, for any block size, and no
     whole-horizon temporary beside the result."""
 
-    HORIZONS = ([*range(2, 300), 1022, 1023, 1024, 1025, 2047, 2048, 3075, 10**5, 10**6]
-                + random.Random(20261019).sample(range(300, 2 * 10**5), 16))
+    EDGES = [*range(2, 300), 1022, 1023, 1024, 1025, 2047, 2048, 3075, 10**5]
+    HORIZONS = EDGES + [10**6] + random.Random(20261019).sample(range(300, 2 * 10**5), 16)
 
     @staticmethod
     def pairs(n, every=True):
@@ -476,10 +488,11 @@ class TestBlockwiseArrays:
                 if 0 <= k1 < k2 or k1 == k2 == 0]
 
     def test_continuation_bits(self):
-        """At 10**6 only the solved pair: 10**5 already spans 98 blocks, and
-        TestValueAccuracy checks the continuation at 10**6 against mpmath."""
+        """Every pair class below 300, at the block edges and at 10**5, which
+        spans 98 blocks; the solved pair alone at 10**6 (TestValueAccuracy
+        checks it against mpmath) and at the 16 random horizons."""
         for n in self.HORIZONS:
-            for k1, k2, value in self.pairs(n, every=n < 10**6):
+            for k1, k2, value in self.pairs(n, every=n in self.EDGES):
                 args = k1, k2, n, value
                 assert _continuation(*args).tobytes() == continuation_whole(*args).tobytes(), args
 
@@ -530,8 +543,11 @@ class TestThresholdSearch:
         return found.pop()
 
     def test_answer_does_not_depend_on_the_guess(self):
+        """Every horizon up to 300, each miss of the start rules up to 3000 and a
+        seeded sample of the rest, from lo, hi and 20 random guesses each."""
         rng = random.Random(20260814)
-        for n in range(2, 3001):
+        misses = sorted(m for m in self.K1_MISSES | self.K2_MISSES if 300 < m <= 3000)
+        for n in [*range(2, 301), *misses, *sorted(rng.sample(range(301, 3001), 100))]:
             k2, E = self.search_from_guesses(_rank2_continues, 2, n, rng, n, _psi_exact)
             k1, sums = self.search_from_guesses(_rank1_continues, 1, k2 - 1, rng,
                                                 k2, n, _psi_exact, E)
