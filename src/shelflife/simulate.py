@@ -24,6 +24,7 @@ in some heap layouts every later call faulted those pages in again, 40%
 slower.
 """
 
+import functools
 import math
 import threading
 from typing import NamedTuple
@@ -186,26 +187,22 @@ def _rank_classes(n):
     """The 2*3**(n-2) rank classes as rows of an int8 (rows, n) matrix y, with
     y_1 = 1, y_2 in {1, 2} and y_k in {1, 2, 3} for k >= 3, and each class's
     int64 weight prod(k - 2) over its 3-positions, the number of rank sequences
-    it stands for; the weights sum to n!."""
-    y = np.ones((2 * 3 ** (n - 2), n), dtype=np.int8, order="F")
-    y[:, 1:] = np.indices((2,) + (3,) * (n - 2), dtype=np.int8).reshape(n - 1, -1).T + 1
-    weight = np.ones(len(y), dtype=np.int64)
-    for k in range(3, n + 1):
-        weight[y[:, k - 1] == 3] *= k - 2
-    return y, weight
+    it stands for; the weights sum to n!.  Rows run in np.indices' order, last
+    position fastest, as does the outer product of the per-position weights."""
+    y = np.indices((1, 2) + (3,) * (n - 2), dtype=np.int8).reshape(n, -1).T + 1  # F-contiguous
+    per_position = ([1, 1, k - 2] for k in range(3, n + 1))  # the weights of y_k = 1, 2, 3
+    return y, functools.reduce(np.multiply.outer, per_position, np.ones(2, np.int64)).ravel()
 
 
-def _first(mask):
-    """1-based index of the first True in each row of an (rows, n) mask, or n + 1
-    where there is none: position k scores n + 1 - k where True, and 0 where not."""
+def _first(mask, after):
+    """1-based index of the first True after position `after` (one int or one per row)
+    in each row of an (rows, n) mask, or n + 1 where there is none: position k scores
+    n + 1 - k where True and k > after, else 0.  Like the class matrix (np.indices'
+    order, transposed), both masks are column-major: a row's max runs over contiguous columns."""
     n = mask.shape[1]
-    return n + 1 - (mask * np.arange(n, 0, -1, dtype=np.int8)).max(axis=1)
-
-
-def _after(start, k):
-    """The (rows, n) mask k > start, column-major like the class matrix, so that
-    a reduction along a row runs over contiguous columns."""
-    return np.greater(k, start[:, None], order="F")
+    k = np.arange(1, n + 1, dtype=np.int8)
+    after = np.asarray(after, np.int8).reshape(-1, 1)  # int8 like k: no int64 loop is paged in
+    return n + 1 - ((mask & np.greater(k, after, order="F")) * (n + 1 - k)).max(axis=1)
 
 
 def exhaustive_policy_value(policy, n: int) -> float:
@@ -224,11 +221,9 @@ def exhaustive_policy_value(policy, n: int) -> float:
     n = _check_int(n, "n", 2, 10)
     k1, k2 = _check_policy(policy, n)
     y, weight = _rank_classes(n)
-    k = np.arange(1, n + 1, dtype=np.int8)
-    stop1, stop2 = _first((y == 1) & (k > k1)), _first((y == 2) & (k > k2))
+    stop1, stop2 = _first(y == 1, k1), _first(y == 2, k2)
     stop = np.minimum(stop1, stop2)  # n + 1: never stops, and the end below is n + 1 too
     # a held best item drops to second at the next y = 1; a second best one is there at its stop
-    overtaken = np.where(stop1 < stop2, _first((y == 1) & _after(stop, k)), stop)
-    end = _first((y <= 2) & _after(overtaken, k))
-    total = int(weight @ (end - stop))
-    return total / (n * math.factorial(n))
+    overtaken = np.where(stop1 < stop2, _first(y == 1, stop), stop)
+    end = _first(y <= 2, overtaken)
+    return int(weight @ (end - stop)) / (n * math.factorial(n))

@@ -214,10 +214,28 @@ class TestExhaustivePolicyValue:
 
     @pytest.mark.parametrize("n", [2, 3, 7, 10])
     def test_rank_classes_are_distinct_and_weigh_n_factorial(self, n):
+        """The weights sum to n!, and each class weighs prod(k - 2) over its own
+        3-positions, which a permuted weight vector fails; y is the F-contiguous
+        int8 matrix whose columns the first-index search reduces over."""
         y, weight = _rank_classes(n)
         assert len({row.tobytes() for row in y}) == len(y) == 2 * 3 ** (n - 2)
         assert (y[:, 0] == 1).all() and (y[:, 1] <= 2).all() and y.min() >= 1 and y.max() <= 3
         assert int(weight.sum()) == math.factorial(n)
+        assert y.dtype == np.int8 and y.flags.f_contiguous and y.shape == (len(y), n)
+        assert weight.dtype == np.int64 and weight.shape == (len(y),)
+        for row, w in zip(y.tolist(), weight.tolist()):
+            assert w == math.prod(k - 2 for k, r in enumerate(row, 1) if r == 3), row
+
+    def test_values_bits_pinned(self):
+        """Every threshold pair for n = 2..10: a sha256 over the hex of each
+        value, recorded before the searches were put on one first-index helper.
+        Any change to one bit of one value moves it."""
+        h = hashlib.sha256()
+        for n in range(2, 11):
+            for k2 in range(n + 1):
+                for k1 in range(k2 + 1):
+                    h.update(f"{exhaustive_policy_value((k1, k2), n).hex()}\n".encode())
+        assert h.hexdigest() == "ad588ebf6446bfa3da1191af99c7304ca84b528b3c5e4a1e8a91c7c7d7ce6ff5"
 
     def test_size_guard(self):
         with pytest.raises(ValueError):

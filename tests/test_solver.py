@@ -889,10 +889,25 @@ class TestValueAccuracy:
             assert d(k1) < 0 <= d(k1 + 1)
 
 
+def _count_margin_tests(monkeypatch):
+    """Calls of each search's test, _rank2_continues for k2 and _rank1_continues
+    for k1, counted through the module attributes that solve reads."""
+    counts = dict.fromkeys(["_rank2_continues", "_rank1_continues"], 0)
+    for name in counts:
+        def counted(*args, test=getattr(solver, name), name=name):
+            counts[name] += 1
+            return test(*args)
+
+        monkeypatch.setattr(solver, name, counted)
+    return counts
+
+
 def test_near_ties_evaluate_psi_of_each_argument_once(monkeypatch):
     """At 10^154 nearly every search step is a near-tie, and psi(n) and psi(k2)
     are the same at each: n is evaluated at most once per search, and the two
-    searches make no more calls than their 1,825 distinct arguments."""
+    searches make no more calls than their 1,825 distinct arguments.  Each
+    search also tests at most the 912 points it tested when this budget was
+    recorded; a gallop that lands farther from the answer costs more of them."""
     calls = []
 
     def psi_exact(x):
@@ -900,9 +915,19 @@ def test_near_ties_evaluate_psi_of_each_argument_once(monkeypatch):
         return _psi_exact(x)
 
     monkeypatch.setattr("shelflife.solver._psi_exact", psi_exact)
+    counts = _count_margin_tests(monkeypatch)
     n = 10**154
     solve(n)
     assert calls.count(n) <= 2 and len(calls) <= 1825
+    assert counts["_rank2_continues"] <= 912 and counts["_rank1_continues"] <= 912, counts
+
+
+def test_search_budget_at_1e20(monkeypatch):
+    """At 10^20 the float starts are off by thousands, yet each search tests few
+    points: at most the 24 (k2) and 22 (k1) it tested when this budget was recorded."""
+    counts = _count_margin_tests(monkeypatch)
+    solve(10**20)
+    assert counts["_rank2_continues"] <= 24 and counts["_rank1_continues"] <= 22, counts
 
 
 class TestTieBand:
